@@ -37,9 +37,9 @@ use hyperpower::methods::History;
 use hyperpower::recovery::LIAR_ERROR;
 use hyperpower::space::Decoded;
 use hyperpower::{
-    Budget, Budgets, CheckpointConfig, Config, EarlyTermination, Error, EvaluationResult,
-    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SampleKind, Scenario, SearchSpace,
-    Searcher, Session, Trace, TrialFailure,
+    Budget, Budgets, CheckpointConfig, Conditioning, Config, EarlyTermination, Error,
+    EvaluationResult, ExecutorOptions, Method, Mode, Objective, RetryPolicy, SampleKind, Scenario,
+    SearchSpace, Searcher, Session, Trace, TrialFailure,
 };
 use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 use rand::rngs::StdRng;
@@ -433,6 +433,97 @@ fn exhausted_retries_quarantine_the_configuration() {
         assert_eq!(s.failure, Some(TrialFailure::Quarantined));
     }
     assert_eq!(trace.evaluations(), 1, "the config trains exactly once");
+}
+
+/// Always proposes the same configuration, declaring itself
+/// history-independent so that the single-GPU schedule plans it in blocks
+/// when more than one worker thread is available.
+struct FixedIndependentSearcher(Config);
+
+impl Searcher for FixedIndependentSearcher {
+    fn propose(
+        &mut self,
+        _space: &SearchSpace,
+        _history: &History,
+        _rng: &mut StdRng,
+    ) -> hyperpower::Result<Config> {
+        Ok(self.0.clone())
+    }
+
+    fn conditioning(&self) -> Conditioning {
+        Conditioning::Independent
+    }
+}
+
+/// One re-proposed configuration that always fails terminally, run on
+/// `gpus` simulated GPUs and `workers` threads; returns each committed
+/// sample's kind, failure cause and timestamp.
+fn quarantine_seam_outcome(
+    gpus: usize,
+    workers: usize,
+) -> Vec<(SampleKind, Option<TrialFailure>, f64)> {
+    let profile = FaultProfile {
+        name: "crash-always".into(),
+        crash_prob: 1.0,
+        ..FaultProfile::none()
+    };
+    let config = Config::new(vec![0.5; 6]).expect("config");
+    let trace = run_stub(
+        &StubObjective::new(),
+        Budget::VirtualHours(0.5),
+        &ExecutorOptions::default()
+            .with_workers(workers)
+            .with_simulated_gpus(gpus)
+            .with_fault_profile(profile)
+            .with_retry(RetryPolicy {
+                max_retries: 1,
+                ..RetryPolicy::default()
+            }),
+        Some(Box::new(FixedIndependentSearcher(config))),
+    )
+    .expect("run");
+    trace
+        .samples
+        .iter()
+        .map(|s| (s.kind, s.failure, s.timestamp_s))
+        .collect()
+}
+
+/// Quarantine is checked against the failures committed before a
+/// candidate starts on its GPU timeline. With one GPU that is every
+/// earlier commit, so the config trains once; with two GPUs both start at
+/// t = 0, before either failure commits, so it trains (and fails) twice.
+#[test]
+fn quarantine_sees_failures_committed_before_a_candidate_starts() {
+    // The failed samples' trace indices and commit timestamps.
+    let one_gpu: &[(usize, f64)] = &[(0, 888.5178278723527)];
+    let two_gpus: &[(usize, f64)] = &[(0, 396.1908603168839), (99, 888.5178278723527)];
+    // (GPUs, threads, committed samples, failed samples).
+    let cases = [
+        (1, 1, 184, one_gpu),
+        (1, 4, 184, one_gpu),
+        (2, 1, 466, two_gpus),
+        (2, 4, 466, two_gpus),
+    ];
+    for (gpus, workers, len, failed) in cases {
+        let outcome = quarantine_seam_outcome(gpus, workers);
+        assert_eq!(outcome.len(), len, "G={gpus} W={workers}: sample count");
+        let got: Vec<(usize, u64)> = outcome
+            .iter()
+            .enumerate()
+            .filter(|(_, (kind, ..))| *kind == SampleKind::Failed)
+            .map(|(i, (_, failure, t))| {
+                assert_eq!(*failure, Some(TrialFailure::Crash));
+                (i, t.to_bits())
+            })
+            .collect();
+        let want: Vec<(usize, u64)> = failed.iter().map(|(i, t)| (*i, t.to_bits())).collect();
+        assert_eq!(got, want, "G={gpus} W={workers}: failed samples");
+        for (kind, failure, _) in outcome.iter().filter(|o| o.0 != SampleKind::Failed) {
+            assert_eq!(*kind, SampleKind::Rejected);
+            assert_eq!(*failure, Some(TrialFailure::Quarantined));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -253,3 +253,92 @@ fn golden_hwieci_evals_flaky_sensor() {
         )),
     );
 }
+
+// Multi-GPU fixtures: the batch-parallel schedule — per-GPU virtual
+// timelines, commits in (completion time, proposal index) order and
+// constant-liar pending points — pinned bit-for-bit. The worker-thread
+// count comes from the environment, so the CI worker matrix also proves
+// these traces thread-count invariant.
+
+/// A slightly longer evaluation budget than [`EVALS`], so that every
+/// simulated GPU trains more than once.
+const GPU_EVALS: Budget = Budget::Evaluations(8);
+
+fn run_gpus_case(method: Method, budget: Budget, options: ExecutorOptions) -> Trace {
+    let mut session = Session::new(Scenario::mnist_gtx1070(), GOLDEN_SEED).expect("session setup");
+    session
+        .run_seeded_with(method, Mode::HyperPower, budget, GOLDEN_SEED, &options)
+        .expect("golden multi-GPU run")
+}
+
+fn check_gpus(name: &str, method: Method, budget: Budget, options: ExecutorOptions) {
+    check_encoded(name, encode_trace(&run_gpus_case(method, budget, options)));
+}
+
+fn gpus(g: usize) -> ExecutorOptions {
+    ExecutorOptions::from_env().with_simulated_gpus(g)
+}
+
+#[test]
+fn golden_rand_evals_gpus2() {
+    check_gpus("rand_evals_gpus2", Method::Rand, GPU_EVALS, gpus(2));
+}
+
+#[test]
+fn golden_rand_evals_gpus4() {
+    check_gpus("rand_evals_gpus4", Method::Rand, GPU_EVALS, gpus(4));
+}
+
+#[test]
+fn golden_hwieci_evals_gpus2() {
+    check_gpus("hwieci_evals_gpus2", Method::HwIeci, GPU_EVALS, gpus(2));
+}
+
+#[test]
+fn golden_hwieci_evals_gpus4() {
+    check_gpus("hwieci_evals_gpus4", Method::HwIeci, GPU_EVALS, gpus(4));
+}
+
+#[test]
+fn golden_rand_evals_flaky_sensor_gpus2() {
+    check_gpus(
+        "rand_evals_flaky_sensor_gpus2",
+        Method::Rand,
+        GPU_EVALS,
+        gpus(2).with_fault_profile(FaultProfile::flaky_sensor()),
+    );
+}
+
+#[test]
+fn golden_hwieci_evals_flaky_sensor_gpus2() {
+    check_gpus(
+        "hwieci_evals_flaky_sensor_gpus2",
+        Method::HwIeci,
+        GPU_EVALS,
+        gpus(2).with_fault_profile(FaultProfile::flaky_sensor()),
+    );
+}
+
+/// A time budget blocks each GPU on its own timeline: the last candidate
+/// started before the deadline still completes and commits.
+#[test]
+fn golden_randwalk_hours_gpus4() {
+    check_gpus("randwalk_hours_gpus4", Method::RandWalk, HOURS, gpus(4));
+}
+
+/// Healing under a drifting sensor with recalibration on: drift
+/// detections, margin moves and the starvation valve (a margin relaxed by
+/// an unbroken run of screening rejections) across two timelines.
+#[test]
+fn golden_rand_evals_drifting_hw_gpus2() {
+    check_gpus(
+        "rand_evals_drifting_hw_gpus2",
+        Method::Rand,
+        EVALS,
+        gpus(2)
+            .with_fault_profile(FaultProfile::drifting_hw())
+            .with_recalibrate(true)
+            .with_drift_threshold(0.02)
+            .with_safety_margin(0.1),
+    );
+}
