@@ -676,11 +676,15 @@ mod tests {
         // R5: a declared guard site present but without the marker.
         ws.write("crates/core/src/model.rs", "pub fn fit() {}\n");
         // R13: an options struct with an undeclared knob (and no header
-        // file at all). R15: a commit root with an unprovable index.
+        // file at all).
         ws.write(
             "crates/core/src/executor.rs",
+            "pub struct ExecutorOptions {\n    pub workers: usize,\n    pub mystery_knob: u64,\n}\n",
+        );
+        // R15: a commit root with an unprovable index.
+        ws.write(
+            "crates/core/src/study.rs",
             concat!(
-                "pub struct ExecutorOptions {\n    pub workers: usize,\n    pub mystery_knob: u64,\n}\n",
                 "pub fn commit(&mut self) {\n",
                 "    self.samples.push(self.tasks[self.cursor]);\n",
                 "}\n",

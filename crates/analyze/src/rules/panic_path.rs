@@ -226,16 +226,15 @@ mod tests {
 
     const COMMIT_FN: &str = "pub fn commit(&mut self) {\n    self.samples.push(self.next());\n    helper(&self.tasks, self.cursor);\n}\n";
 
-    fn executor(body: &str) -> String {
+    fn study(body: &str) -> String {
         format!("{COMMIT_FN}{body}")
     }
 
     #[test]
     fn unchecked_index_in_reachable_helper_is_flagged() {
-        let src = executor(
-            "pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    tasks[cursor]\n}\n",
-        );
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let src =
+            study("pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    tasks[cursor]\n}\n");
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         assert_eq!(
             report.findings_for(Rule::R15PanicPath).count(),
             1,
@@ -246,10 +245,10 @@ mod tests {
 
     #[test]
     fn proved_range_loop_index_is_safe() {
-        let src = executor(
+        let src = study(
             "pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    let mut acc = 0;\n    for i in 0..tasks.len() {\n        acc += tasks[i];\n    }\n    acc + cursor as u64\n}\n",
         );
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         assert_eq!(
             report.findings_for(Rule::R15PanicPath).count(),
             0,
@@ -260,19 +259,19 @@ mod tests {
 
     #[test]
     fn unreachable_macro_on_commit_path_is_flagged() {
-        let src = executor(
+        let src = study(
             "pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    if cursor > tasks.len() { unreachable!() } else { 0 }\n}\n",
         );
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         assert_eq!(report.findings_for(Rule::R15PanicPath).count(), 1);
     }
 
     #[test]
     fn unreferenced_function_is_not_on_the_commit_path() {
-        let src = executor("pub fn elsewhere(xs: &[u64]) -> u64 { xs[0] }\n");
+        let src = study("pub fn elsewhere(xs: &[u64]) -> u64 { xs[0] }\n");
         // `elsewhere` is never called from the commit root.
         let src = src.replace("helper(&self.tasks, self.cursor);", "");
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         assert_eq!(
             report.findings_for(Rule::R15PanicPath).count(),
             0,
@@ -283,10 +282,10 @@ mod tests {
 
     #[test]
     fn possibly_zero_divisor_is_flagged_and_nonzero_literal_is_not() {
-        let src = executor(
+        let src = study(
             "pub fn helper(tasks: &[u64], cursor: usize) -> usize {\n    let n = tasks.len();\n    let half = cursor / 2;\n    half + cursor % n\n}\n",
         );
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         let msgs: Vec<_> = report
             .findings_for(Rule::R15PanicPath)
             .map(|f| f.message.clone())
@@ -300,10 +299,10 @@ mod tests {
 
     #[test]
     fn allow_marker_suppresses_and_registers_usage() {
-        let src = executor(
+        let src = study(
             "pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    // known in-bounds: cursor is clamped by the scheduler. analyze::allow(R15)\n    tasks[cursor]\n}\n",
         );
-        let report = analyze_sources(&[("crates/core/src/executor.rs", &src)]);
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
         assert_eq!(report.findings_for(Rule::R15PanicPath).count(), 0);
         // ... and the consumed marker is not stale (no R16 either).
         assert_eq!(report.findings_for(Rule::R16StaleAllow).count(), 0);

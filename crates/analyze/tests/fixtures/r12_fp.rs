@@ -5,7 +5,7 @@ pub struct WorkerSlot {
     result: Mutex<u64>,
 }
 
-//@file: crates/core/src/driver.rs
+//@file: crates/core/src/study.rs
 pub fn commit(samples: &mut Vec<u64>, v: u64) {
     samples.push(v);
 }

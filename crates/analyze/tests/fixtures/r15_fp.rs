@@ -1,4 +1,4 @@
-//@file: crates/core/src/executor.rs
+//@file: crates/core/src/study.rs
 pub fn commit(samples: &mut Vec<u64>, tasks: &[u64]) {
     let mut total = 0;
     for i in 0..tasks.len() {

@@ -1,4 +1,4 @@
-//@file: crates/core/src/executor.rs
+//@file: crates/core/src/study.rs
 pub fn commit(samples: &mut Vec<u64>, tasks: &[u64], cursor: usize) {
     samples.push(route(tasks, cursor));
 }

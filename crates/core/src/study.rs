@@ -1,52 +1,72 @@
-//! The ask–tell study state machine.
+//! The ask–tell study state machine: the one place a run commits samples.
 //!
-//! [`Study`] factors the single-GPU optimization loop of
-//! [`crate::executor`] into an explicit state machine with no embedded
-//! objective call: [`Study::ask`] plans proposals and hands out **leased**
-//! candidate batches, the caller evaluates them however it likes (inline,
-//! on worker threads, on another machine), and [`Study::tell`] ingests the
-//! observations and commits samples to the trace. The committed trace is
-//! **byte-identical** to the embedded loop's — `crate::executor` itself now
-//! drives a `Study` — which is what lets a serving layer
-//! (`hyperpower-server`) host many concurrent studies, lose workers,
-//! receive duplicated or reordered tells, and crash-restart without ever
-//! perturbing a single trace byte.
+//! [`Study`] is the paper's optimization loop — propose, screen against the
+//! power and memory models, train, measure, commit — as an explicit state
+//! machine with no embedded objective call: [`Study::ask`] plans proposals
+//! and hands out **leased** candidate batches, the caller evaluates them
+//! however it likes (inline, on worker threads, on another machine), and
+//! [`Study::tell`] ingests the observations and commits samples to the
+//! trace. `crate::executor` drives a `Study` for every run, and a serving
+//! layer (`hyperpower-server`) can host many concurrent studies, lose
+//! workers, receive duplicated or reordered tells, and crash-restart
+//! without ever perturbing a single trace byte.
 //!
 //! # Why leases keep the trace exact
 //!
 //! Evaluation is a pure function of `(decoded, eval_seed)`, and the eval
-//! seed is derived from the proposal's trace slot alone
-//! (`seed × SEED_MIX + query`). So *who* evaluates a candidate, *when* the
-//! result arrives, and *how many times* the work is re-issued after a lost
-//! worker are all unobservable in the trace. A lease records one issuance
-//! of a candidate to a worker, with a deadline on the **caller's scheduler
-//! clock** (never the study's virtual trace clock):
+//! seed is derived from the proposal index alone (`seed × SEED_MIX +
+//! query`). So *who* evaluates a candidate, *when* the result arrives, and
+//! *how many times* the work is re-issued after a lost worker are all
+//! unobservable in the trace. A lease records one issuance of a candidate
+//! to a worker, with a deadline on the **caller's scheduler clock** (never
+//! the study's virtual trace clock):
 //!
 //! * expiry ([`Study::reclaim_expired`]) returns the candidate to the pool;
 //!   the next [`Study::ask`] re-issues it under a fresh lease with the
-//!   attempt count bumped and the deadline grown by the PR 4 retry/backoff
+//!   attempt count bumped and the deadline grown by the retry/backoff
 //!   machinery ([`RetryPolicy::backoff_secs`] with a seeded jitter draw in
 //!   the `FaultPlan` style);
 //! * a tell against an expired lease is rejected with the typed
 //!   [`Error::LeaseExpired`] and leaves every byte of state untouched;
 //! * a duplicate tell (same lease, already ingested) is absorbed as
 //!   [`TellOutcome::Duplicate`];
-//! * out-of-order tells are buffered on their planned slot and commit only
-//!   when every earlier proposal has committed — commits happen in strict
-//!   proposal order, exactly like the embedded loop.
+//! * out-of-order tells are buffered on their candidate and commit only
+//!   when the schedule below reaches them.
 //!
-//! # Commit discipline
+//! # The virtual schedule
 //!
-//! All clock advances and sensor reads happen at *commit* points, in
-//! proposal order, so the trace is a pure function of the committed prefix
-//! — the same scheme DESIGN.md §5a proves for the executor. Budgets are
-//! re-checked before every commit; a budget hit discards the planned tail
-//! unseen (its RNG consumption is unobservable) and voids its leases as
-//! [`TellOutcome::Discarded`].
+//! The study simulates G training GPUs ([`Study::with_simulated_gpus`];
+//! one by default), each with its own virtual timeline:
+//!
+//! * **Start.** The free GPU with the earliest timeline (lowest index on
+//!   ties) starts the next proposal. On several GPUs the searcher proposes
+//!   with the started, uncommitted candidates as constant-liar pending
+//!   points. A screening rejection, or a re-proposal of a configuration
+//!   whose terminal failure has already committed (the quarantine circuit
+//!   breaker), costs one model evaluation on that timeline and leaves the
+//!   GPU free. Nothing starts past a time budget's deadline on its own
+//!   timeline, past the evaluation budget, or after the rejection valve
+//!   trips.
+//! * **Finish.** A told result replays the candidate's fault schedule
+//!   (retries, backoff, measurement passes) on its GPU's timeline.
+//! * **Commit.** Finished work commits in `(completion time, proposal
+//!   index)` order, once nothing can still finish earlier: sensors are read
+//!   on the shared stream, drift healing runs, and the searcher sees the
+//!   observation.
+//!
+//! With one GPU every start follows the previous commit, so commits happen
+//! in proposal order and quarantine sees every earlier failure — the
+//! paper's sequential experiment. The trace is a pure function of the
+//! committed prefix (DESIGN.md §5a). When the run ends, proposals planned
+//! ahead are discarded unseen (their RNG consumption is unobservable) and
+//! their leases are voided as [`TellOutcome::Discarded`].
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use hyperpower_gpu_sim::{FaultPlan, FaultProfile, Gpu, TrainingCostModel, VirtualClock};
+use hyperpower_gpu_sim::{
+    CommitQueue, FaultPlan, FaultProfile, Gpu, TrainingCostModel, WorkerClock,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,14 +76,14 @@ use crate::drift::{DriftConfig, DriftMonitor};
 use crate::driver::{Budget, Sample, SampleKind, Trace, MAX_CONSECUTIVE_REJECTIONS};
 use crate::methods::{make_searcher, Conditioning, History, Searcher};
 use crate::objective::EvaluationResult;
-use crate::recovery::{plan_trial, RetryPolicy, TrialFailure, TrialOutcome, LIAR_ERROR};
+use crate::recovery::{plan_trial, RetryPolicy, TrialFailure, TrialOutcome, TrialPlan, LIAR_ERROR};
 use crate::space::Decoded;
 use crate::{Budgets, Config, EarlyTermination, Error, Method, Mode, Result, SearchSpace, Watts};
 
 /// The multiplier in the per-candidate seed derivation
 /// `eval_seed = seed × SEED_MIX + query_index` (golden-ratio mixing
 /// constant; the same derivation the sequential driver has always used).
-pub(crate) const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Salt for the lease-deadline jitter stream (disjoint from the fault
 /// salts `0xFA17_000x` so lease lifecycle can never collide with fault
@@ -143,9 +163,10 @@ pub enum TellOutcome {
     /// The lease was already fulfilled — a duplicate delivery, absorbed
     /// without touching any state.
     Duplicate,
-    /// The run ended (budget hit) before this proposal could commit; the
-    /// observation is absorbed and discarded, exactly as the embedded
-    /// loop discards a prefetched tail.
+    /// The observation is no longer wanted: the run ended (budget hit)
+    /// before this proposal could start, or the proposal was planned ahead
+    /// and quarantined when it started. The observation is absorbed and
+    /// discarded.
     Discarded,
 }
 
@@ -153,8 +174,9 @@ pub enum TellOutcome {
 /// journal hook. [`CheckpointSink`] implements it (the executor's
 /// periodic checkpoints), and `hyperpower-server` implements it with an
 /// append-only journal. Calls arrive in commit order — `record_eval`
-/// immediately before the commit that consumed the evaluation — so any
-/// sink sees the exact byte stream of the embedded loop.
+/// immediately before the commit that consumed the evaluation — so every
+/// sink sees the same byte stream for the same run, however its
+/// evaluations were scheduled.
 pub trait ObservationSink {
     /// Records one raw objective evaluation, keyed by its eval seed.
     fn record_eval(&mut self, eval_seed: u64, result: &EvaluationResult);
@@ -215,17 +237,19 @@ struct LeaseRecord {
     deadline_s: f64,
 }
 
-/// A proposal planned ahead of its commit.
+/// One proposal, from planning until it finishes.
 #[derive(Debug)]
 struct Planned {
     config: Config,
     decoded: Decoded,
-    rejected: bool,
+    /// The predicted power of a proposal the screening oracle rejected;
+    /// `None` for a proposal that passed screening.
+    screened_power_w: Option<f64>,
     query: u64,
     eval_seed: u64,
     degradations: Vec<crate::drift::DegradationEvent>,
-    /// The observation, once told (buffered until this item reaches the
-    /// front of the commit queue).
+    /// The observation, once told (kept until the candidate starts on a
+    /// GPU when it was planned ahead).
     result: Option<EvaluationResult>,
     /// Every currently outstanding lease on this item. More than one only
     /// while a hedged duplicate is in flight; the first fulfilment wins
@@ -240,17 +264,23 @@ struct Planned {
     reclaimed: u32,
 }
 
+impl Planned {
+    fn rejected(&self) -> bool {
+        self.screened_power_w.is_some()
+    }
+}
+
 /// The quarantine key of a configuration: its unit-cube coordinates by
 /// exact bit pattern (the study re-proposes bit-identical configs, so no
 /// tolerance is wanted).
-pub(crate) fn config_key(config: &Config) -> Vec<u64> {
+fn config_key(config: &Config) -> Vec<u64> {
     config.unit().iter().map(|u| u.to_bits()).collect()
 }
 
 /// Predicted memory pressure of a candidate: the noise-free memory
 /// analysis as a fraction of device capacity. Consumes no RNG — fault
 /// decisions must never perturb the sensor stream.
-pub(crate) fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
+fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
     let predicted_mib = gpu.analyze(&decoded.arch).memory.get();
     let capacity_mib = gpu.device().memory_capacity_gib * 1024.0;
     predicted_mib / capacity_mib
@@ -259,7 +289,7 @@ pub(crate) fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
 /// Selects the rejection-screening oracle exactly as the sequential loop
 /// does: model-free methods in HyperPower mode screen; BO methods carry the
 /// constraints inside their acquisition instead (paper §3.4–3.5).
-pub(crate) fn screening_oracle(
+fn screening_oracle(
     mode: Mode,
     method: Method,
     oracle: Option<&ConstraintOracle>,
@@ -272,12 +302,12 @@ pub(crate) fn screening_oracle(
 
 /// The self-healing outcome of one measured commit, ready to attach to
 /// its [`Sample`].
-pub(crate) struct CommitHealing {
-    pub(crate) drift_events: Vec<crate::drift::DriftEvent>,
-    pub(crate) drift_rmspe: Option<f64>,
+struct CommitHealing {
+    drift_events: Vec<crate::drift::DriftEvent>,
+    drift_rmspe: Option<f64>,
     /// Penalize this observation as a liar (a measured violation of a
     /// predicted-feasible candidate while safety margins are on).
-    pub(crate) liar: bool,
+    liar: bool,
 }
 
 impl CommitHealing {
@@ -290,61 +320,33 @@ impl CommitHealing {
     }
 }
 
-/// Feeds one measured commit through the drift monitor (when active) and
-/// applies the outcome: on any model/margin change the live oracle is
-/// rebuilt and the searcher notified. Runs at commit points only, so the
-/// whole self-healing state is a pure function of the committed prefix.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn heal_on_commit(
-    monitor: Option<&mut DriftMonitor>,
-    live_oracle: &mut Option<ConstraintOracle>,
-    searcher: &mut dyn Searcher,
-    safety_margin: f64,
-    structural: &[f64],
-    power: Watts,
-    memory: Option<crate::Mebibytes>,
-    latency: crate::Seconds,
-    feasible: bool,
-) -> CommitHealing {
-    let Some(monitor) = monitor else {
-        return CommitHealing::inert();
-    };
-    let predicted_ok = live_oracle
-        .as_ref()
-        .is_some_and(|o| o.predicted_feasible(structural));
-    let violation = predicted_ok && !feasible;
-    let obs = monitor.observe_commit(structural, power, memory, Some(latency), violation);
-    if obs.oracle_changed {
-        let oracle = monitor.oracle();
-        searcher.update_oracle(&oracle);
-        *live_oracle = Some(oracle);
-    }
-    CommitHealing {
-        drift_events: obs.events,
-        drift_rmspe: obs.drift_rmspe,
-        liar: violation && safety_margin > 0.0,
-    }
+/// A candidate started on a simulated GPU, held from its start until its
+/// commit frees the GPU.
+#[derive(Debug)]
+struct Busy {
+    query: u64,
+    /// A constant-liar pending point for proposals made meanwhile.
+    config: Config,
+    /// The candidate while it awaits its result; `None` once it has
+    /// finished and waits in the commit queue.
+    training: Option<Planned>,
 }
 
-/// Feeds one committed screening rejection through the drift monitor's
-/// starvation valve (when active): a long unbroken run of rejections under
-/// an active margin relaxes it one step, and the live oracle is swapped so
-/// the very next screening decision sees the widened region.
-pub(crate) fn heal_on_rejection(
-    monitor: Option<&mut DriftMonitor>,
-    live_oracle: &mut Option<ConstraintOracle>,
-    searcher: &mut dyn Searcher,
-) -> Vec<crate::drift::DriftEvent> {
-    let Some(monitor) = monitor else {
-        return Vec::new();
-    };
-    let obs = monitor.observe_rejection();
-    if obs.oracle_changed {
-        let oracle = monitor.oracle();
-        searcher.update_oracle(&oracle);
-        *live_oracle = Some(oracle);
-    }
-    obs.events
+/// Finished work awaiting its commit.
+#[derive(Debug)]
+enum Finished {
+    /// A screening or quarantine rejection, formed in full when it started
+    /// (the index is assigned at commit).
+    Rejected(Sample),
+    /// A trained candidate: the fault schedule has replayed on its GPU's
+    /// timeline; the sensors are read at commit.
+    Trained {
+        gpu: usize,
+        item: Planned,
+        result: EvaluationResult,
+        trial: TrialPlan,
+        glitched: bool,
+    },
 }
 
 /// One hyper-parameter study as an explicit ask–tell state machine. See
@@ -354,15 +356,26 @@ pub struct Study {
     plan: FaultPlan,
     searcher: Box<dyn Searcher>,
     rng: StdRng,
-    clock: VirtualClock,
+    /// One virtual timeline per simulated GPU.
+    clock: WorkerClock,
+    /// What each simulated GPU is working on.
+    gpus: Vec<Option<Busy>>,
+    /// Finished work, committed in `(completion time, proposal index)`
+    /// order.
+    commits: CommitQueue<Finished>,
     history: History,
     samples: Vec<Sample>,
     evaluations: usize,
+    /// Candidates started for training (the evaluation budget's gate).
+    started: usize,
+    /// Proposals drawn so far (the next proposal's index).
+    proposed: u64,
     consecutive_rejections: usize,
     quarantine: BTreeSet<Vec<u64>>,
     screen_active: bool,
     live_oracle: Option<ConstraintOracle>,
     monitor: Option<DriftMonitor>,
+    /// Proposals planned ahead of their start, in proposal order.
     queue: VecDeque<Planned>,
     leases: BTreeMap<u64, LeaseRecord>,
     next_lease: u64,
@@ -378,6 +391,7 @@ impl std::fmt::Debug for Study {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Study")
             .field("spec", &self.spec)
+            .field("gpus", &self.gpus.len())
             .field("committed", &self.samples.len())
             .field("evaluations", &self.evaluations)
             .field("pending", &self.queue.len())
@@ -387,8 +401,9 @@ impl std::fmt::Debug for Study {
 }
 
 impl Study {
-    /// Creates a study from its spec, the profiling-time constraint oracle
-    /// (cloned; `Some` in HyperPower mode) and an optional custom searcher.
+    /// Creates a single-GPU study from its spec, the profiling-time
+    /// constraint oracle (cloned; `Some` in HyperPower mode) and an
+    /// optional custom searcher.
     pub fn new(
         spec: StudySpec,
         oracle: Option<&ConstraintOracle>,
@@ -410,10 +425,14 @@ impl Study {
             plan,
             searcher,
             rng,
-            clock: VirtualClock::new(),
+            clock: WorkerClock::new(1),
+            gpus: vec![None],
+            commits: CommitQueue::new(),
             history: History::new(),
             samples: Vec::new(),
             evaluations: 0,
+            started: 0,
+            proposed: 0,
             consecutive_rejections: 0,
             quarantine: BTreeSet::new(),
             screen_active,
@@ -444,6 +463,17 @@ impl Study {
     /// evaluation is pure, so it eventually lands). Trace-neutral.
     pub fn with_lease_policy(mut self, policy: RetryPolicy) -> Self {
         self.lease_policy = policy;
+        self
+    }
+
+    /// Replaces the number of simulated training GPUs (builder style; 0 is
+    /// treated as 1). A semantic knob: one GPU is the paper's sequential
+    /// experiment, more run the batch-parallel schedule. Call it before
+    /// the first [`Study::ask`].
+    pub fn with_simulated_gpus(mut self, gpus: usize) -> Self {
+        let gpus = gpus.max(1);
+        self.clock = WorkerClock::new(gpus);
+        self.gpus = std::iter::repeat_with(|| None).take(gpus).collect();
         self
     }
 
@@ -487,31 +517,41 @@ impl Study {
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples.clone(),
-            total_time_s: self.clock.seconds(),
+            total_time_s: self.elapsed_secs(),
         }
     }
 
     /// Consumes the study and returns its final trace.
     pub fn into_trace(self) -> Trace {
+        let total_time_s = self.elapsed_secs();
         Trace {
             method: self.spec.method,
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples,
-            total_time_s: self.clock.seconds(),
+            total_time_s,
         }
     }
 
-    /// Plans proposals as needed and returns up to `max` leased candidates
-    /// awaiting evaluation, stamping deadlines relative to the caller's
-    /// scheduler clock `now_s`. Returns an empty batch when the run is
-    /// finished, or when every pending candidate is already out on an
-    /// unexpired lease.
+    /// Virtual time at the latest commit. Commits happen in time order and
+    /// every timeline advance belongs to a sample that commits, so once
+    /// the run ends this is also the latest GPU timeline.
+    fn elapsed_secs(&self) -> f64 {
+        self.samples.last().map_or(0.0, |s| s.timestamp_s)
+    }
+
+    /// Plans and starts proposals as needed and returns up to `max` leased
+    /// candidates awaiting evaluation, stamping deadlines relative to the
+    /// caller's scheduler clock `now_s`. Returns an empty batch when the
+    /// run is finished, or when every pending candidate is already out on
+    /// an unexpired lease.
     ///
-    /// Block planning follows the embedded loop exactly: only
-    /// history-independent searchers without an active drift monitor plan
-    /// more than one proposal ahead, so the trace stays byte-identical for
-    /// every `max` (the executor's worker-count invariance, restated).
+    /// On one GPU, only history-independent searchers without an active
+    /// drift monitor plan more than one proposal ahead, so the trace stays
+    /// byte-identical for every `max` (the executor's worker-count
+    /// invariance, restated). On several GPUs each free GPU gets one
+    /// proposal, made with the uncommitted started candidates as
+    /// constant-liar pending points.
     ///
     /// # Errors
     ///
@@ -525,15 +565,11 @@ impl Study {
         now_s: f64,
         mut sink: Option<&mut S>,
     ) -> Result<Vec<LeasedCandidate>> {
-        // Plan blocks until the run ends or a candidate awaits evaluation.
-        // (A block can be all screening rejections, which commit right
-        // here; the embedded loop spins the same way.)
+        // Start and commit work until the run ends or a candidate awaits
+        // evaluation. (Everything started can be a screening or quarantine
+        // rejection, which commits right here.)
         while !self.finished && !self.has_pending_eval() {
-            if self.budget_exhausted() {
-                self.finish();
-                break;
-            }
-            self.plan_block(space, max)?;
+            self.fill(space, max, gpu)?;
             self.drain(gpu, sink.as_deref_mut())?;
         }
         if self.finished {
@@ -546,8 +582,8 @@ impl Study {
         let mut next = self.next_lease;
         let mut issued: Vec<LeaseRecord> = Vec::new();
         let cap = max.max(1);
-        for item in self.queue.iter_mut() {
-            if item.rejected || item.result.is_some() || !item.leases.is_empty() {
+        for item in open_items(&mut self.gpus, &mut self.queue) {
+            if item.rejected() || item.result.is_some() || !item.leases.is_empty() {
                 continue;
             }
             if out.len() >= cap {
@@ -586,7 +622,7 @@ impl Study {
     }
 
     /// Ingests one observation for `lease_id` and commits every proposal
-    /// the arrival unblocks, in proposal order.
+    /// the arrival unblocks, in commit order.
     ///
     /// # Errors
     ///
@@ -616,10 +652,11 @@ impl Study {
         }
         record.state = LeaseState::Fulfilled;
         let query = record.query;
-        let Some(item) = self.queue.iter_mut().find(|i| i.query == query) else {
-            // An outstanding lease always has its item queued: `finish`
+        let Some(item) = open_items(&mut self.gpus, &mut self.queue).find(|i| i.query == query)
+        else {
+            // An outstanding lease always has its item open: `finish`
             // voids leases when it clears the queue.
-            unreachable!("outstanding lease without a queued item");
+            unreachable!("outstanding lease without an open item");
         };
         item.result = Some(*result);
         // First fulfilment wins: every sibling lease still in flight for
@@ -633,6 +670,15 @@ impl Study {
                     self.hedges_superseded += 1;
                 }
             }
+        }
+        // A candidate already training on a GPU finishes now; one planned
+        // ahead keeps its result until it starts.
+        if let Some(w) = self
+            .gpus
+            .iter()
+            .position(|b| b.as_ref().is_some_and(|b| b.query == query))
+        {
+            self.complete(w, gpu);
         }
         let before = self.samples.len();
         self.drain(gpu, sink)?;
@@ -652,7 +698,8 @@ impl Study {
             if record.state == LeaseState::Outstanding && now_s > record.deadline_s {
                 record.state = LeaseState::Expired;
                 let query = record.query;
-                if let Some(item) = self.queue.iter_mut().find(|i| i.query == query) {
+                let mut items = open_items(&mut self.gpus, &mut self.queue);
+                if let Some(item) = items.find(|i| i.query == query) {
                     item.leases.retain(|id| id != lease_id);
                     item.reclaimed = item.reclaimed.saturating_add(1);
                 }
@@ -682,8 +729,8 @@ impl Study {
         let seed = self.spec.seed;
         let policy = self.lease_policy;
         let mut out = Vec::new();
-        for item in self.queue.iter_mut() {
-            if item.rejected || item.result.is_some() || item.leases.len() != 1 {
+        for item in open_items(&mut self.gpus, &mut self.queue) {
+            if item.rejected() || item.result.is_some() || item.leases.len() != 1 {
                 continue;
             }
             let original = item.leases[0];
@@ -752,48 +799,118 @@ impl Study {
         self.reclaim_expired(f64::INFINITY)
     }
 
-    fn has_pending_eval(&self) -> bool {
-        self.queue.iter().any(|i| !i.rejected && i.result.is_none())
-    }
-
-    fn budget_exhausted(&self) -> bool {
-        match self.spec.budget {
-            Budget::Evaluations(n) => self.evaluations >= n,
-            Budget::VirtualHours(h) => self.clock.hours() >= h,
+    /// Feeds one measured commit through the drift monitor (when active)
+    /// and applies the outcome: on any model/margin change the live oracle
+    /// is rebuilt and the searcher notified. Runs at commit points only, so
+    /// the whole self-healing state is a pure function of the committed
+    /// prefix.
+    fn heal_on_commit(
+        &mut self,
+        structural: &[f64],
+        power: Watts,
+        memory: Option<crate::Mebibytes>,
+        latency: crate::Seconds,
+        feasible: bool,
+    ) -> CommitHealing {
+        let Some(monitor) = self.monitor.as_mut() else {
+            return CommitHealing::inert();
+        };
+        let predicted_ok = self
+            .live_oracle
+            .as_ref()
+            .is_some_and(|o| o.predicted_feasible(structural));
+        let violation = predicted_ok && !feasible;
+        let obs = monitor.observe_commit(structural, power, memory, Some(latency), violation);
+        if obs.oracle_changed {
+            let oracle = monitor.oracle();
+            self.searcher.update_oracle(&oracle);
+            self.live_oracle = Some(oracle);
+        }
+        CommitHealing {
+            drift_events: obs.events,
+            drift_rmspe: obs.drift_rmspe,
+            liar: violation && self.spec.drift.safety_margin > 0.0,
         }
     }
 
-    /// Ends the run: the planned tail is discarded unseen (exactly as the
-    /// embedded loop discards a prefetched tail on a budget hit) and its
-    /// leases are voided so late tells are absorbed, not rejected.
+    /// Feeds one screening rejection through the drift monitor's
+    /// starvation valve (when active): a long unbroken run of rejections
+    /// under an active margin relaxes it one step, and the live oracle is
+    /// swapped so the very next screening decision sees the widened
+    /// region.
+    fn heal_on_rejection(&mut self) -> Vec<crate::drift::DriftEvent> {
+        let Some(monitor) = self.monitor.as_mut() else {
+            return Vec::new();
+        };
+        let obs = monitor.observe_rejection();
+        if obs.oracle_changed {
+            let oracle = monitor.oracle();
+            self.searcher.update_oracle(&oracle);
+            self.live_oracle = Some(oracle);
+        }
+        obs.events
+    }
+
+    fn has_pending_eval(&self) -> bool {
+        self.gpus.iter().flatten().any(|b| b.training.is_some())
+            || self
+                .queue
+                .iter()
+                .any(|i| !i.rejected() && i.result.is_none())
+    }
+
+    /// The free GPU that starts next: the earliest timeline, lowest index
+    /// on ties. `None` once the run may start nothing more — every GPU is
+    /// busy or past the time budget, the evaluation budget is spent, or
+    /// the rejection valve has tripped.
+    fn next_free(&self) -> Option<usize> {
+        if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
+            return None;
+        }
+        let deadline_h = match self.spec.budget {
+            Budget::Evaluations(n) if self.started >= n => return None,
+            Budget::Evaluations(_) => f64::INFINITY,
+            // Paper rule: the last candidate started before the deadline
+            // completes; nothing further starts on that GPU.
+            Budget::VirtualHours(h) => h,
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for (w, busy) in self.gpus.iter().enumerate() {
+            let t = self.clock.seconds(w);
+            if busy.is_some() || t / 3600.0 >= deadline_h {
+                continue;
+            }
+            if best.is_none_or(|(_, b)| t.total_cmp(&b) == Ordering::Less) {
+                best = Some((w, t));
+            }
+        }
+        best.map(|(w, _)| w)
+    }
+
+    /// Ends the run: proposals planned ahead are discarded unseen and
+    /// their leases are voided, so late tells are absorbed, not rejected.
     fn finish(&mut self) {
         self.finished = true;
-        for item in &self.queue {
-            for lease_id in &item.leases {
-                if let Some(record) = self.leases.get_mut(lease_id) {
-                    if record.state == LeaseState::Outstanding {
-                        record.state = LeaseState::Discarded;
-                    }
-                }
-            }
+        for item in open_items(&mut self.gpus, &mut self.queue) {
+            discard_leases(&mut self.leases, &item.leases);
         }
         self.queue.clear();
     }
 
-    /// Plans one block of proposals, mirroring the embedded loop: the
-    /// searcher proposes, degradations are drained, the space decodes, and
-    /// the screening oracle (when active) marks predicted-infeasible
-    /// candidates rejected. Proposals never run past the evaluation budget
-    /// (rejected ones occupy no evaluation slot, so the block can only
-    /// undershoot, never overshoot).
+    /// Plans one block of proposals: the searcher proposes (with every
+    /// started, uncommitted candidate as a pending point), degradations
+    /// are drained, the space decodes, and the screening oracle (when
+    /// active) marks predicted-infeasible candidates rejected.
     fn plan_block(&mut self, space: &SearchSpace, max: usize) -> Result<()> {
         debug_assert!(self.queue.is_empty(), "blocks plan only on a drained queue");
-        // Dependent searchers must see each result before the next
-        // proposal: their lookahead is 1. An active drift monitor also
-        // forces lookahead 1: a commit may swap the screening oracle, so
-        // planning a wider block would make screening decisions depend on
-        // the batch width.
+        // Only a single GPU plans ahead, and only for a searcher that
+        // ignores the history: a dependent searcher must see each result
+        // before the next proposal. An active drift monitor also forces
+        // lookahead 1: a commit may swap the screening oracle, so planning
+        // a wider block would make screening decisions depend on the
+        // batch width.
         let lookahead = if max > 1
+            && self.gpus.len() == 1
             && self.searcher.conditioning() == Conditioning::Independent
             && self.monitor.is_none()
         {
@@ -801,29 +918,44 @@ impl Study {
         } else {
             1
         };
+        // Rejected proposals occupy no evaluation slot, so the block can
+        // only undershoot the evaluation budget, never overshoot it.
         let room = match self.spec.budget {
-            Budget::Evaluations(n) => n.saturating_sub(self.evaluations),
+            Budget::Evaluations(n) => n.saturating_sub(self.started),
             Budget::VirtualHours(_) => lookahead,
         };
-        let block = lookahead.min(room).max(1);
-        let base_slot = (self.samples.len() + self.queue.len()) as u64;
-        for offset in 0..block as u64 {
-            let config = self.searcher.propose(space, &self.history, &mut self.rng)?;
+        let mut pending: Vec<(u64, Config)> = self
+            .gpus
+            .iter()
+            .flatten()
+            .map(|b| (b.query, b.config.clone()))
+            .collect();
+        pending.sort_by_key(|(query, _)| *query);
+        let pending: Vec<Config> = pending.into_iter().map(|(_, c)| c).collect();
+        for _ in 0..lookahead.min(room).max(1) {
+            let config = self.searcher.propose_with_pending(
+                space,
+                &self.history,
+                &pending,
+                &mut self.rng,
+            )?;
             let degradations = self.searcher.drain_degradations();
             let decoded = space.decode(&config)?;
-            let rejected = match (self.screen_active, self.live_oracle.as_ref()) {
-                (true, Some(oracle)) => !oracle.predicted_feasible(&decoded.structural),
-                _ => false,
+            let screened_power_w = match (self.screen_active, self.live_oracle.as_ref()) {
+                (true, Some(oracle)) if !oracle.predicted_feasible(&decoded.structural) => {
+                    Some(oracle.models().predict_power(&decoded.structural).get())
+                }
+                _ => None,
             };
-            // Every committed sample — rejected or trained — occupies one
-            // trace slot, and the evaluation seed is derived from that
-            // slot exactly as in the sequential loop.
-            let query = base_slot + offset;
+            // The evaluation seed is derived from the proposal index
+            // exactly as in the sequential loop.
+            let query = self.proposed;
+            self.proposed += 1;
             let eval_seed = self.spec.seed.wrapping_mul(SEED_MIX).wrapping_add(query);
             self.queue.push_back(Planned {
                 config,
                 decoded,
-                rejected,
+                screened_power_w,
                 query,
                 eval_seed,
                 degradations,
@@ -837,192 +969,268 @@ impl Study {
         Ok(())
     }
 
-    /// Commits every front-of-queue proposal that is ready — screening
-    /// rejections unconditionally, evaluated candidates once their result
-    /// has been told — re-checking the budget before each commit.
-    fn drain<S: ObservationSink>(&mut self, gpu: &mut Gpu, mut sink: Option<&mut S>) -> Result<()> {
-        while let Some(front) = self.queue.front() {
-            if self.budget_exhausted() {
-                self.finish();
-                break;
+    /// Starts work on every free GPU, planning proposals as needed.
+    fn fill(&mut self, space: &SearchSpace, max: usize, gpu: &Gpu) -> Result<()> {
+        loop {
+            self.start_planned(gpu);
+            if self.next_free().is_none() {
+                return Ok(());
             }
-            let ready = front.rejected || front.result.is_some();
-            if !ready {
-                break;
-            }
-            let Some(item) = self.queue.pop_front() else {
-                // The front was just observed.
-                unreachable!("front disappeared between peek and pop");
+            self.plan_block(space, max)?;
+        }
+    }
+
+    /// Starts proposals planned ahead on free GPUs, earliest timeline
+    /// first.
+    fn start_planned(&mut self, gpu: &Gpu) {
+        while !self.queue.is_empty() {
+            let Some(w) = self.next_free() else {
+                return;
             };
-            if item.rejected {
-                self.commit_screen_rejection(item, sink.as_deref_mut())?;
-            } else {
-                self.commit_evaluated(item, gpu, sink.as_deref_mut())?;
-            }
-            if self.finished {
-                break;
+            if let Some(item) = self.queue.pop_front() {
+                self.start(w, item, gpu);
             }
         }
-        Ok(())
     }
 
-    /// Commits one screening rejection, advancing the virtual clock with
-    /// the exact operation sequence of the embedded loop.
-    fn commit_screen_rejection<S: ObservationSink>(
-        &mut self,
-        item: Planned,
-        sink: Option<&mut S>,
-    ) -> Result<()> {
-        self.clock.advance_secs(self.spec.cost.model_eval_s);
-        let Some(oracle) = self.live_oracle.as_ref() else {
-            // `rejected` is only ever set by the screening oracle. analyze::allow(R15)
-            unreachable!("rejected proposal without a screening oracle");
-        };
-        let predicted_power = oracle.models().predict_power(&item.decoded.structural);
-        let drift_events = heal_on_rejection(
-            self.monitor.as_mut(),
-            &mut self.live_oracle,
-            self.searcher.as_mut(),
-        );
-        let sample = Sample {
-            index: self.samples.len(),
-            timestamp_s: self.clock.seconds(),
-            kind: SampleKind::Rejected,
-            error: None,
-            power_w: predicted_power.get(),
-            memory_bytes: None,
-            latency_s: None,
-            feasible: false,
-            retries: 0,
-            faults: Vec::new(),
-            failure: None,
-            drift_events,
-            degradations: item.degradations,
-            drift_rmspe: None,
-            hedged: item.hedged,
-            reclaimed: item.reclaimed,
-            config: item.config,
-        };
-        if let Some(s) = sink {
-            s.record_commit(&sample)?;
-        }
-        self.samples.push(sample);
-        self.consecutive_rejections += 1;
-        if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
-            self.finish();
-        }
-        Ok(())
-    }
-
-    /// Commits one evaluated proposal: the quarantine circuit breaker may
-    /// still reject it (dropping the buffered result), otherwise the fault
-    /// schedule replays, sensors are read on the shared stream, and the
-    /// sample commits — all exactly as the embedded loop does.
-    fn commit_evaluated<S: ObservationSink>(
-        &mut self,
-        item: Planned,
-        gpu: &mut Gpu,
-        mut sink: Option<&mut S>,
-    ) -> Result<()> {
-        let Planned {
-            config,
-            decoded,
-            query,
-            eval_seed,
-            degradations,
-            result,
-            hedged,
-            reclaimed,
-            ..
-        } = item;
-        let Some(result) = result else {
-            // `drain` only pops evaluated items whose result was told. analyze::allow(R15)
-            unreachable!("evaluated commit without a told result");
-        };
-        if self.quarantine.contains(&config_key(&config)) {
-            // Circuit breaker: this config already failed terminally.
-            // Reject at model-eval cost using the noise-free analysis
-            // (no sensor RNG), and drop the buffered result.
-            self.clock.advance_secs(self.spec.cost.model_eval_s);
+    /// Starts one proposal on free GPU `w`. A screening rejection, or a
+    /// re-proposal of a configuration whose failure has already committed
+    /// (the quarantine circuit breaker), costs one model evaluation on the
+    /// timeline, trains nothing and leaves the GPU free. Anything else
+    /// starts training.
+    fn start(&mut self, w: usize, item: Planned, gpu: &Gpu) {
+        let model_eval_s = self.spec.cost.model_eval_s;
+        let quarantined = self.quarantine.contains(&config_key(&item.config));
+        if item.rejected() || quarantined {
+            // A candidate planned ahead may already be out on a lease;
+            // its result is no longer wanted.
+            discard_leases(&mut self.leases, &item.leases);
+            self.clock.advance_secs(w, model_eval_s);
+            let (power_w, failure, drift_events) = match item.screened_power_w {
+                Some(power_w) => (power_w, None, self.heal_on_rejection()),
+                // Noise-free analysis: a quarantine consumes no sensor RNG.
+                None => (
+                    gpu.analyze(&item.decoded.arch).power.get(),
+                    Some(TrialFailure::Quarantined),
+                    Vec::new(),
+                ),
+            };
+            let time_s = self.clock.seconds(w);
             let sample = Sample {
-                index: self.samples.len(),
-                timestamp_s: self.clock.seconds(),
+                index: 0,
+                timestamp_s: time_s,
                 kind: SampleKind::Rejected,
                 error: None,
-                power_w: gpu.analyze(&decoded.arch).power.get(),
+                power_w,
                 memory_bytes: None,
                 latency_s: None,
                 feasible: false,
                 retries: 0,
                 faults: Vec::new(),
-                failure: Some(TrialFailure::Quarantined),
-                drift_events: Vec::new(),
-                degradations,
+                failure,
+                drift_events,
+                degradations: item.degradations,
                 drift_rmspe: None,
-                hedged,
-                reclaimed,
-                config,
+                hedged: item.hedged,
+                reclaimed: item.reclaimed,
+                config: item.config,
             };
-            if let Some(s) = sink.as_deref_mut() {
-                s.record_commit(&sample)?;
-            }
-            self.samples.push(sample);
+            self.commits
+                .push(time_s, item.query, Finished::Rejected(sample));
             self.consecutive_rejections += 1;
-            if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
-                self.finish();
-            }
-            return Ok(());
+            return;
         }
         if self.screen_active {
             // Feasibility checks on surviving candidates are billed too.
-            self.clock.advance_secs(self.spec.cost.model_eval_s);
+            self.clock.advance_secs(w, model_eval_s);
         }
         self.consecutive_rejections = 0;
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_eval(eval_seed, &result);
+        self.started += 1;
+        if let Some(slot) = self.gpus.get_mut(w) {
+            *slot = Some(Busy {
+                query: item.query,
+                config: item.config.clone(),
+                training: Some(item),
+            });
         }
-        let pressure_frac = memory_pressure_frac(gpu, &decoded);
-        let trial = plan_trial(&self.plan, &self.spec.retry, query, &result, pressure_frac);
-        self.clock.advance_secs(trial.charged_secs);
-        let sample = match trial.outcome {
+        self.complete(w, gpu);
+    }
+
+    /// Finishes the training on GPU `w` if its result has arrived: the
+    /// fault schedule replays on the GPU's timeline (retries, backoff,
+    /// measurement passes) and the outcome joins the commit queue.
+    fn complete(&mut self, w: usize, gpu: &Gpu) {
+        let Some(busy) = self.gpus.get_mut(w).and_then(Option::as_mut) else {
+            return;
+        };
+        let Some(item) = busy.training.take_if(|i| i.result.is_some()) else {
+            return;
+        };
+        let Some(result) = item.result else {
+            return;
+        };
+        let pressure_frac = memory_pressure_frac(gpu, &item.decoded);
+        let trial = plan_trial(
+            &self.plan,
+            &self.spec.retry,
+            item.query,
+            &result,
+            pressure_frac,
+        );
+        self.clock.advance_secs(w, trial.charged_secs);
+        let mut glitched = false;
+        if matches!(trial.outcome, TrialOutcome::Completed { .. }) {
+            // A sensor glitch repeats the measurement pass on this
+            // timeline; the discarded draw happens at commit.
+            glitched = self.plan.sensor_glitch(item.query);
+            self.clock.advance_secs(w, self.spec.cost.measurement_s);
+            if glitched {
+                self.clock.advance_secs(w, self.spec.cost.measurement_s);
+            }
+        }
+        let time_s = self.clock.seconds(w);
+        let query = item.query;
+        self.commits.push(
+            time_s,
+            query,
+            Finished::Trained {
+                gpu: w,
+                item,
+                result,
+                trial,
+                glitched,
+            },
+        );
+    }
+
+    /// Commits finished work in `(completion time, proposal index)` order
+    /// for as long as nothing can still finish earlier, starting planned
+    /// proposals on GPUs the commits free. Ends the run once nothing is
+    /// left to start, train or commit.
+    fn drain<S: ObservationSink>(&mut self, gpu: &mut Gpu, mut sink: Option<&mut S>) -> Result<()> {
+        loop {
+            self.start_planned(gpu);
+            let Some((time_s, query)) = self.commits.peek_min_key() else {
+                break;
+            };
+            if !self.can_commit(time_s, query) {
+                break;
+            }
+            if let Some((time_s, _, finished)) = self.commits.pop_min() {
+                self.commit(time_s, finished, gpu, sink.as_deref_mut())?;
+            }
+        }
+        if self.commits.is_empty()
+            && self.gpus.iter().all(Option::is_none)
+            && self.next_free().is_none()
+        {
+            self.finish();
+        }
+        Ok(())
+    }
+
+    /// Whether the entry keyed `(time_s, query)` commits next for certain:
+    /// no free GPU can still start work (its commit could land earlier,
+    /// and a commit would change what it proposes), and no training
+    /// without a result can finish earlier — a training finishes no
+    /// earlier than its GPU's timeline stands now.
+    fn can_commit(&self, time_s: f64, query: u64) -> bool {
+        if self.next_free().is_some() {
+            return false;
+        }
+        self.gpus.iter().enumerate().all(|(w, busy)| match busy {
+            Some(Busy {
+                training: Some(item),
+                ..
+            }) => {
+                time_s
+                    .total_cmp(&self.clock.seconds(w))
+                    .then(query.cmp(&item.query))
+                    == Ordering::Less
+            }
+            _ => true,
+        })
+    }
+
+    /// Commits one finished entry to the trace.
+    fn commit<S: ObservationSink>(
+        &mut self,
+        time_s: f64,
+        finished: Finished,
+        gpu: &mut Gpu,
+        mut sink: Option<&mut S>,
+    ) -> Result<()> {
+        let mut sample = match finished {
+            Finished::Rejected(sample) => sample,
+            Finished::Trained {
+                gpu: w,
+                item,
+                result,
+                trial,
+                glitched,
+            } => {
+                if let Some(busy) = self.gpus.get_mut(w) {
+                    *busy = None;
+                }
+                if let Some(s) = sink.as_deref_mut() {
+                    s.record_eval(item.eval_seed, &result);
+                }
+                self.commit_trained(time_s, item, result, trial, glitched, gpu)
+            }
+        };
+        sample.index = self.samples.len();
+        if let Some(s) = sink {
+            s.record_commit(&sample)?;
+        }
+        self.samples.push(sample);
+        Ok(())
+    }
+
+    /// The sample of a finished training: on success the sensors are read
+    /// on the shared stream in commit order and the self-healing layer
+    /// sees the measurement; on terminal failure the configuration is
+    /// quarantined. Either way the searcher sees the observation.
+    fn commit_trained(
+        &mut self,
+        time_s: f64,
+        item: Planned,
+        result: EvaluationResult,
+        trial: TrialPlan,
+        glitched: bool,
+        gpu: &mut Gpu,
+    ) -> Sample {
+        let Planned {
+            config,
+            decoded,
+            degradations,
+            hedged,
+            reclaimed,
+            ..
+        } = item;
+        self.evaluations += 1;
+        match trial.outcome {
             TrialOutcome::Completed { secondary } => {
                 let mut faults = trial.faults;
-                let glitched = self.plan.sensor_glitch(query);
                 if glitched {
-                    // Transient sensor glitch: the first power reading
-                    // is garbage — discard it (consuming the draw) and
-                    // pay for a repeated measurement pass.
+                    // Transient sensor glitch: the first power reading is
+                    // garbage — discard it, consuming the draw.
                     let _ = gpu.measure_power(&decoded.arch);
                     faults.push(TrialFailure::SensorGlitch);
                 }
                 let raw_power = gpu.measure_power(&decoded.arch);
                 let memory = gpu.measure_memory(&decoded.arch).ok();
                 let latency = gpu.measure_latency(&decoded.arch);
-                self.clock.advance_secs(self.spec.cost.measurement_s);
-                if glitched {
-                    self.clock.advance_secs(self.spec.cost.measurement_s);
-                }
                 // Systematic sensor miscalibration (the `drifting-hw`
                 // profile): the recorded reading is biased by the
                 // profile's drift rate × the commit timestamp. A pure
                 // function of virtual time — no RNG, no thread state.
-                let power =
-                    Watts(raw_power.get() + self.plan.profile().power_bias_w(self.clock.seconds()));
+                let power = Watts(raw_power.get() + self.plan.profile().power_bias_w(time_s));
                 let feasible =
                     self.spec
                         .budgets
                         .satisfied_by_measurements(power, memory, Some(latency));
-                let healing = heal_on_commit(
-                    self.monitor.as_mut(),
-                    &mut self.live_oracle,
-                    self.searcher.as_mut(),
-                    self.spec.drift.safety_margin,
-                    &decoded.structural,
-                    power,
-                    memory,
-                    latency,
-                    feasible,
-                );
+                let healing =
+                    self.heal_on_commit(&decoded.structural, power, memory, latency, feasible);
                 self.history.push(
                     config.clone(),
                     if healing.liar {
@@ -1031,10 +1239,9 @@ impl Study {
                         result.error
                     },
                 );
-                self.evaluations += 1;
                 Sample {
-                    index: self.samples.len(),
-                    timestamp_s: self.clock.seconds(),
+                    index: 0,
+                    timestamp_s: time_s,
                     kind: if result.terminated_early {
                         SampleKind::EarlyTerminated
                     } else {
@@ -1062,11 +1269,10 @@ impl Study {
                 // config is circuit-broken. No measurements exist — the
                 // job never completed.
                 self.history.push(config.clone(), LIAR_ERROR);
-                self.evaluations += 1;
                 self.quarantine.insert(config_key(&config));
                 Sample {
-                    index: self.samples.len(),
-                    timestamp_s: self.clock.seconds(),
+                    index: 0,
+                    timestamp_s: time_s,
                     kind: SampleKind::Failed,
                     error: None,
                     power_w: gpu.analyze(&decoded.arch).power.get(),
@@ -1084,13 +1290,32 @@ impl Study {
                     config,
                 }
             }
-        };
-        if let Some(s) = sink {
-            s.record_commit(&sample)?;
         }
-        self.samples.push(sample);
-        Ok(())
     }
+}
+
+/// Voids the still-outstanding leases among `ids`: their tells are
+/// absorbed as [`TellOutcome::Discarded`].
+fn discard_leases(leases: &mut BTreeMap<u64, LeaseRecord>, ids: &[u64]) {
+    for id in ids {
+        if let Some(record) = leases.get_mut(id) {
+            if record.state == LeaseState::Outstanding {
+                record.state = LeaseState::Discarded;
+            }
+        }
+    }
+}
+
+/// Every open candidate: those training on a GPU (in GPU order), then
+/// those planned ahead of their start (in proposal order).
+fn open_items<'a>(
+    gpus: &'a mut [Option<Busy>],
+    queue: &'a mut VecDeque<Planned>,
+) -> impl Iterator<Item = &'a mut Planned> {
+    gpus.iter_mut()
+        .flatten()
+        .filter_map(|b| b.training.as_mut())
+        .chain(queue.iter_mut())
 }
 
 /// The `[0, 1)` jitter draw for lease deadline `attempt` of `query` —

@@ -65,12 +65,10 @@ impl VirtualClock {
 
 /// Per-worker virtual timelines for multi-GPU experiments.
 ///
-/// The parallel executor models K simulated training GPUs, each with its own
-/// wall clock. A worker's timeline advances by the modelled duration of every
-/// action it performs (proposal overhead, training, measurement), exactly like
-/// [`VirtualClock`] does for the single-GPU loop; the experiment-level clock
-/// is the *latest* worker timeline, and scheduling decisions pick the
-/// *earliest* free worker with a deterministic lowest-index tiebreak.
+/// A study models K simulated training GPUs, each with its own wall clock.
+/// A worker's timeline advances by the modelled duration of every action it
+/// performs (proposal overhead, training, measurement), exactly like
+/// [`VirtualClock`] does for a single timeline.
 ///
 /// # Examples
 ///
@@ -79,9 +77,9 @@ impl VirtualClock {
 ///
 /// let mut clock = WorkerClock::new(3);
 /// clock.advance_secs(1, 50.0);
-/// clock.advance_secs(2, 80.0);
-/// assert_eq!(clock.earliest(), 0); // index tiebreak is irrelevant here
-/// assert!((clock.latest_secs() - 80.0).abs() < 1e-12);
+/// clock.advance_secs(1, 30.0);
+/// assert!((clock.seconds(1) - 80.0).abs() < 1e-12);
+/// assert_eq!(clock.seconds(0), 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerClock {
@@ -101,11 +99,6 @@ impl WorkerClock {
         }
     }
 
-    /// Number of worker timelines.
-    pub fn workers(&self) -> usize {
-        self.now_s.len()
-    }
-
     /// Advances worker `w`'s timeline by `dt_s` seconds.
     ///
     /// # Panics
@@ -120,48 +113,9 @@ impl WorkerClock {
         self.now_s[w] += dt_s;
     }
 
-    /// Moves worker `w`'s timeline forward to `at_s` if it is behind it
-    /// (synchronisation point, e.g. waiting on another worker's commit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range or `at_s` is non-finite.
-    pub fn advance_to(&mut self, w: usize, at_s: f64) {
-        assert!(at_s.is_finite(), "cannot move clock to {at_s}");
-        if at_s > self.now_s[w] {
-            self.now_s[w] = at_s;
-        }
-    }
-
     /// Worker `w`'s current time in seconds.
     pub fn seconds(&self, w: usize) -> f64 {
         self.now_s[w]
-    }
-
-    /// Index of the worker whose timeline is earliest; ties break to the
-    /// lowest index, so scheduling is deterministic.
-    pub fn earliest(&self) -> usize {
-        let mut best = 0;
-        for (w, &t) in self.now_s.iter().enumerate().skip(1) {
-            if t.total_cmp(&self.now_s[best]) == std::cmp::Ordering::Less {
-                best = w;
-            }
-        }
-        best
-    }
-
-    /// The latest worker timeline in seconds — the experiment-level elapsed
-    /// time once all workers have drained.
-    pub fn latest_secs(&self) -> f64 {
-        // In-bounds: `now_s` has one entry per worker, workers >= 1; the
-        // grant covers both accesses.
-        let mut latest = self.now_s[0]; // analyze::allow(R15)
-        for &t in &self.now_s[1..] {
-            if t.total_cmp(&latest) == std::cmp::Ordering::Greater {
-                latest = t;
-            }
-        }
-        latest
     }
 }
 
@@ -218,7 +172,7 @@ impl<T> CommitQueue<T> {
             best = match best {
                 None => Some(i),
                 Some(b) => {
-                    let (bt, bs, _) = &self.items[b]; // in-bounds: b comes from enumerate. analyze::allow(R15)
+                    let (bt, bs, _) = &self.items[b]; // in-bounds: b comes from enumerate
                     if key_less((*t, *s), (*bt, *bs)) {
                         Some(i)
                     } else {
@@ -392,31 +346,6 @@ mod tests {
     fn model_eval_is_orders_cheaper_than_training() {
         let cost = TrainingCostModel::default();
         assert!(cost.model_eval_s * 15.0 < cost.per_run_overhead_s);
-    }
-
-    #[test]
-    fn worker_clock_earliest_prefers_lowest_index_on_ties() {
-        let mut c = WorkerClock::new(4);
-        assert_eq!(c.earliest(), 0);
-        c.advance_secs(0, 10.0);
-        c.advance_secs(2, 10.0);
-        // 1 and 3 are tied at 0.0 → lowest index wins.
-        assert_eq!(c.earliest(), 1);
-        c.advance_secs(1, 30.0);
-        c.advance_secs(3, 30.0);
-        // 0 and 2 are tied at 10.0 → lowest index wins.
-        assert_eq!(c.earliest(), 0);
-        assert_eq!(c.latest_secs(), 30.0);
-    }
-
-    #[test]
-    fn worker_clock_advance_to_never_rewinds() {
-        let mut c = WorkerClock::new(2);
-        c.advance_secs(0, 100.0);
-        c.advance_to(0, 50.0);
-        assert_eq!(c.seconds(0), 100.0);
-        c.advance_to(0, 150.0);
-        assert_eq!(c.seconds(0), 150.0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use hyperpower_gpu_sim::{
     analyze, CommitQueue, DeviceProfile, Gpu, Joules, Mebibytes, Seconds, TrainingCostModel, Watts,
-    WorkerClock,
 };
 use hyperpower_nn::{ArchSpec, LayerSpec};
 use proptest::prelude::*;
@@ -184,25 +183,5 @@ proptest! {
                 "out of order: ({t0}, {s0}) before ({t1}, {s1})"
             );
         }
-    }
-
-    #[test]
-    fn worker_clock_earliest_is_argmin_with_index_tiebreak(
-        advances in proptest::collection::vec((0usize..4, 0.0f64..1e5), 1..40)
-    ) {
-        let mut clock = WorkerClock::new(4);
-        for (w, dt) in advances {
-            clock.advance_secs(w, dt);
-        }
-        let e = clock.earliest();
-        for w in 0..4 {
-            let (te, tw) = (clock.seconds(e), clock.seconds(w));
-            // No strictly earlier worker; ties resolve to the lowest index.
-            prop_assert!(te <= tw, "worker {w} at {tw} earlier than chosen {e} at {te}");
-            if tw == te {
-                prop_assert!(e <= w);
-            }
-        }
-        prop_assert!(clock.latest_secs() >= clock.seconds(e));
     }
 }
