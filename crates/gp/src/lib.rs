@@ -43,7 +43,6 @@ pub mod acquisition;
 mod error;
 mod fit;
 pub mod kernel;
-mod kernel_ard;
 pub mod optimize;
 mod regressor;
 pub mod sampler;
@@ -51,7 +50,6 @@ pub mod sampler;
 pub use error::Error;
 pub use fit::{fit_gp_hyperparams, fit_gp_hyperparams_laddered, FitOptions, FittedGp, LadderedFit};
 pub use kernel::{Kernel, Matern52, SquaredExponential};
-pub use kernel_ard::Matern52Ard;
 pub use regressor::{GpRegressor, Prediction};
 
 /// Convenience alias for results produced by this crate.
