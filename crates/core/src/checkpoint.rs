@@ -678,4 +678,13 @@ mod tests {
         let body = clean.split_once('\n').unwrap().1;
         assert!(RunCheckpoint::decode(body).is_err());
     }
+
+    #[test]
+    fn deeply_nested_body_with_a_valid_frame_is_a_typed_error() {
+        // The checksum passes, so the parser itself must refuse the depth.
+        let framed = frame_body(&"[".repeat(100_000));
+        let err = RunCheckpoint::decode(&framed).unwrap_err();
+        assert!(matches!(err, Error::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
 }

@@ -199,9 +199,16 @@ pub fn encode_trace(trace: &Trace) -> String {
     out
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Traces, checkpoints
+/// and journal records nest at most five levels; the bound keeps the
+/// recursive descent off the end of the stack on hostile input.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -209,6 +216,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -251,8 +259,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> std::result::Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -266,6 +274,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.fail("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> std::result::Result<Value, String>,
+    ) -> std::result::Result<Value, String> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> std::result::Result<Value, String> {
@@ -394,7 +416,8 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-annotated message on malformed input.
+/// Returns a byte-offset-annotated message on malformed input, including
+/// arrays and objects nested more than 64 levels deep.
 pub fn parse(text: &str) -> std::result::Result<Value, String> {
     let mut p = Parser::new(text);
     let v = p.value()?;
@@ -612,6 +635,20 @@ mod tests {
                 .any(|l| l.contains("$.samples") && l.contains("elements")),
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_with_a_typed_error() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep = "{\"a\":".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper than"));
+        // The limit itself parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]
