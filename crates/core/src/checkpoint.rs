@@ -85,7 +85,8 @@ pub struct CheckpointHeader {
     pub safety_margin: f64,
 }
 
-fn budget_fields(budget: Budget) -> (&'static str, f64) {
+/// The wire form of a budget: its `kind` name and numeric `value`.
+pub fn budget_fields(budget: Budget) -> (&'static str, f64) {
     match budget {
         Budget::Evaluations(n) => ("evaluations", n as f64),
         Budget::VirtualHours(h) => ("virtual_hours", h),
@@ -120,7 +121,10 @@ fn encode_header(h: &CheckpointHeader) -> String {
     out
 }
 
-fn encode_eval(eval_seed: u64, r: &EvaluationResult) -> String {
+/// Encodes one raw evaluation record keyed by its eval seed: the element
+/// form of a checkpoint's `evals` array, which the study server's journal
+/// also appends verbatim.
+pub fn encode_eval(eval_seed: u64, r: &EvaluationResult) -> String {
     format!(
         "{{\"seed\": \"{}\", \"error\": {:?}, \"diverged\": {}, \"terminated_early\": {}, \"train_secs\": {:?}}}",
         eval_seed, r.error, r.diverged, r.terminated_early, r.train_secs
@@ -316,6 +320,26 @@ fn get_u64_str(members: &[(String, Value)], key: &str) -> Result<u64> {
         .map_err(|e| Error::Checkpoint(format!("bad u64 field `{key}`: {e}")))
 }
 
+/// Decodes one evaluation record written by [`encode_eval`].
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] when the record is not an object or lacks a field.
+pub fn decode_eval(record: &Value) -> Result<(u64, EvaluationResult)> {
+    let Value::Object(members) = record else {
+        return Err(Error::Checkpoint("eval record is not an object".into()));
+    };
+    Ok((
+        get_u64_str(members, "seed")?,
+        EvaluationResult {
+            error: get_num(members, "error")?,
+            diverged: get_bool(members, "diverged")?,
+            terminated_early: get_bool(members, "terminated_early")?,
+            train_secs: get_num(members, "train_secs")?,
+        },
+    ))
+}
+
 impl RunCheckpoint {
     /// Loads and validates a checkpoint file, first sweeping away any
     /// orphaned `*.tmp` a crashed writer left beside it (the checkpoint
@@ -384,25 +408,13 @@ impl RunCheckpoint {
             drift_threshold: get_num(&top, "drift_threshold")?,
             safety_margin: get_num(&top, "safety_margin")?,
         };
-        let mut evals = BTreeMap::new();
         let Some(Value::Array(eval_items)) = obj_get(&top, "evals") else {
             return Err(Error::Checkpoint("missing array field `evals`".into()));
         };
-        for item in eval_items {
-            let Value::Object(members) = item else {
-                return Err(Error::Checkpoint("eval entry is not an object".into()));
-            };
-            let seed = get_u64_str(members, "seed")?;
-            evals.insert(
-                seed,
-                EvaluationResult {
-                    error: get_num(members, "error")?,
-                    diverged: get_bool(members, "diverged")?,
-                    terminated_early: get_bool(members, "terminated_early")?,
-                    train_secs: get_num(members, "train_secs")?,
-                },
-            );
-        }
+        let evals = eval_items
+            .iter()
+            .map(decode_eval)
+            .collect::<Result<BTreeMap<_, _>>>()?;
         let Some(Value::Array(samples)) = obj_get(&top, "samples") else {
             return Err(Error::Checkpoint("missing array field `samples`".into()));
         };

@@ -51,9 +51,12 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use hyperpower::checkpoint::{CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint};
+use hyperpower::checkpoint::{
+    budget_fields, decode_eval, encode_eval, CheckpointConfig, CheckpointHeader, CheckpointSink,
+    RunCheckpoint,
+};
 use hyperpower::golden::{self, Value};
-use hyperpower::{Budget, Error, EvaluationResult, ObservationSink, Result, Sample};
+use hyperpower::{Error, EvaluationResult, ObservationSink, Result, Sample};
 
 /// Wire schema marker of the journal header line.
 const JOURNAL_SCHEMA: &str = "hyperpower-study-journal-v2";
@@ -98,13 +101,6 @@ pub struct JournalHeader {
     pub run: CheckpointHeader,
 }
 
-fn budget_fields(budget: Budget) -> (&'static str, f64) {
-    match budget {
-        Budget::Evaluations(n) => ("evaluations", n as f64),
-        Budget::VirtualHours(h) => ("virtual_hours", h),
-    }
-}
-
 /// Encodes the header as a single journal line (sans the `H ` tag). The
 /// encoding is canonical, so header verification on resume is a literal
 /// byte comparison.
@@ -130,63 +126,6 @@ pub fn encode_header_line(header: &JournalHeader) -> String {
     )
 }
 
-/// Encodes one evaluation record (sans the `E ` tag) — the same line form
-/// the checkpoint codec embeds in its `evals` array, so both durability
-/// layers speak one dialect.
-fn encode_eval_line(eval_seed: u64, r: &EvaluationResult) -> String {
-    format!(
-        "{{\"seed\": \"{}\", \"error\": {:?}, \"diverged\": {}, \"terminated_early\": {}, \"train_secs\": {:?}}}",
-        eval_seed, r.error, r.diverged, r.terminated_early, r.train_secs
-    )
-}
-
-fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_num(members: &[(String, Value)], key: &str) -> Result<f64> {
-    match obj_get(members, key) {
-        Some(Value::Number(x)) => Ok(*x),
-        _ => Err(Error::Checkpoint(format!(
-            "journal record missing numeric field `{key}`"
-        ))),
-    }
-}
-
-fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
-    match obj_get(members, key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(Error::Checkpoint(format!(
-            "journal record missing boolean field `{key}`"
-        ))),
-    }
-}
-
-fn decode_eval_line(line: &str) -> Result<(u64, EvaluationResult)> {
-    let value =
-        golden::parse(line).map_err(|e| Error::Checkpoint(format!("journal eval line: {e}")))?;
-    let Value::Object(members) = value else {
-        return Err(Error::Checkpoint(
-            "journal eval line is not an object".into(),
-        ));
-    };
-    let seed = match obj_get(&members, "seed") {
-        Some(Value::String(s)) => s
-            .parse::<u64>()
-            .map_err(|e| Error::Checkpoint(format!("journal eval seed: {e}")))?,
-        _ => return Err(Error::Checkpoint("journal eval line missing `seed`".into())),
-    };
-    Ok((
-        seed,
-        EvaluationResult {
-            error: get_num(&members, "error")?,
-            diverged: get_bool(&members, "diverged")?,
-            terminated_early: get_bool(&members, "terminated_early")?,
-            train_secs: get_num(&members, "train_secs")?,
-        },
-    ))
-}
-
 /// The trace slot a journaled sample line occupies.
 pub(crate) fn sample_index(value: &Value) -> Result<usize> {
     let Value::Object(members) = value else {
@@ -194,8 +133,12 @@ pub(crate) fn sample_index(value: &Value) -> Result<usize> {
             "journal sample line is not an object".into(),
         ));
     };
-    let index = get_num(members, "index")?;
-    Ok(index as usize)
+    match members.iter().find(|(k, _)| k == "index") {
+        Some((_, Value::Number(index))) => Ok(*index as usize),
+        _ => Err(Error::Checkpoint(
+            "journal sample line missing numeric field `index`".into(),
+        )),
+    }
 }
 
 /// Durable state merged from a study's snapshot and journal tail, ready
@@ -336,7 +279,9 @@ impl StudyJournal {
                 let payload = unframe_payload(rest).map_err(|e| {
                     Error::Checkpoint(format!("journal {}: {e}", journal_path.display()))
                 })?;
-                let (seed, result) = decode_eval_line(payload)?;
+                let record = golden::parse(payload)
+                    .map_err(|e| Error::Checkpoint(format!("journal eval line: {e}")))?;
+                let (seed, result) = decode_eval(&record)?;
                 evals.insert(seed, result);
             } else if let Some(rest) = line.strip_prefix("S ") {
                 let payload = unframe_payload(rest).map_err(|e| {
@@ -431,7 +376,7 @@ impl ObservationSink for StudyJournal {
         // This hook is infallible by trait contract; an append failure is
         // parked and raised at the next fallible call.
         if self.deferred.is_none() {
-            if let Err(e) = self.append('E', &encode_eval_line(eval_seed, result)) {
+            if let Err(e) = self.append('E', &encode_eval(eval_seed, result)) {
                 self.deferred = Some(e);
             }
         }
