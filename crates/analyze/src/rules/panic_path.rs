@@ -5,9 +5,11 @@
 //! trace" can tear a run down mid-commit, which is exactly the window
 //! kill-and-resume exactness cannot tolerate. This rule finds the
 //! *commit roots* — non-test functions in [`super::concurrency::COMMIT_PATHS`]
-//! files that push onto the samples trace — closes over the confident
-//! call graph in the *callee* direction (everything a commit root can
-//! execute), and inside that closure flags:
+//! files that push onto the samples trace, or that (transitively) call
+//! one that does, so the scheduling that decides what commits and when
+//! is covered too — closes over the confident call graph in the *callee*
+//! direction (everything a commit root can execute), and inside that
+//! closure flags:
 //!
 //! - **unchecked indexing** `seq[i]`, *unless* the reaching-definitions
 //!   engine proves every definition of `i` ranges over `0..seq.len()`
@@ -41,21 +43,26 @@ use super::finding_at;
 /// Macros that are unconditional panics when reached.
 const PANIC_MACROS: &[&str] = &["unreachable", "todo", "unimplemented"];
 
-/// A commit root: a live function in a commit-path file that writes the
-/// samples trace.
-fn is_commit_root(f: &FnItem) -> bool {
-    COMMIT_PATHS.contains(&f.file.as_str())
-        && !f.in_test
-        && f.body_mentions("samples")
-        && f.body_mentions("push")
+/// A live function in a commit-path file.
+fn on_commit_path(f: &FnItem) -> bool {
+    COMMIT_PATHS.contains(&f.file.as_str()) && !f.in_test
+}
+
+/// A commit writer: a commit-path function that writes the samples trace.
+fn is_commit_writer(f: &FnItem) -> bool {
+    on_commit_path(f) && f.body_mentions("samples") && f.body_mentions("push")
 }
 
 /// Forward closure over the call graph: every function a root can reach.
+/// The roots are the commit writers plus every commit-path function that
+/// reaches one (the drivers and schedulers that lead to a commit).
 fn reachable_from_roots(index: &ItemIndex, graph: &CallGraph) -> Vec<bool> {
     let n = index.functions.len();
+    let writers: Vec<bool> = index.functions.iter().map(is_commit_writer).collect();
+    let leads_to_commit = graph.taint_callers(n, &writers);
     let mut reach = vec![false; n];
     let mut work: Vec<usize> = (0..n)
-        .filter(|&i| is_commit_root(&index.functions[i]))
+        .filter(|&i| leads_to_commit[i] && on_commit_path(&index.functions[i]))
         .collect();
     for &r in &work {
         reach[r] = true;
@@ -278,6 +285,21 @@ mod tests {
             "{:?}",
             report.findings
         );
+    }
+
+    #[test]
+    fn helper_reached_only_from_a_caller_of_the_commit_is_flagged() {
+        // `drain` decides what commits; `pick` never runs under `commit`
+        // itself but is still on the commit path.
+        let src = study(
+            "pub fn helper(tasks: &[u64], cursor: usize) -> u64 {\n    tasks.get(cursor).copied().unwrap_or(0)\n}\npub fn drain(&mut self) {\n    let i = pick(&self.tasks);\n    self.commit();\n}\npub fn pick(tasks: &[u64]) -> usize {\n    tasks[1] as usize\n}\n",
+        );
+        let report = analyze_sources(&[("crates/core/src/study.rs", &src)]);
+        let lines: Vec<_> = report
+            .findings_for(Rule::R15PanicPath)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![13], "pick's index must be flagged: {lines:?}");
     }
 
     #[test]

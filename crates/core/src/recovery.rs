@@ -234,7 +234,8 @@ pub fn plan_trial(
     let mut charged_secs = 0.0;
     let mut attempts = 0;
 
-    while attempts < max_attempts {
+    // max_attempts >= 1, so the loop always returns from within.
+    loop {
         attempts += 1;
         let failure = match plan.training_fault(query, attempts, memory_pressure_frac) {
             Some(TrainingFault::Stall) => {
@@ -288,8 +289,6 @@ pub fn plan_trial(
         }
         charged_secs += policy.backoff_secs(attempts, plan.backoff_unit(query, attempts));
     }
-    // max_attempts >= 1, so the loop always returns from within.
-    unreachable!("retry loop exits via completion or terminal failure");
 }
 
 #[cfg(test)]

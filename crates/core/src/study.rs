@@ -468,9 +468,14 @@ impl Study {
 
     /// Replaces the number of simulated training GPUs (builder style; 0 is
     /// treated as 1). A semantic knob: one GPU is the paper's sequential
-    /// experiment, more run the batch-parallel schedule. Call it before
-    /// the first [`Study::ask`].
+    /// experiment, more run the batch-parallel schedule. Takes effect only
+    /// before the first proposal: once [`Study::ask`] has planned a
+    /// candidate the GPU count is fixed and a later call is ignored, so
+    /// candidates already training (and their leases) are never dropped.
     pub fn with_simulated_gpus(mut self, gpus: usize) -> Self {
+        if self.proposed > 0 {
+            return self;
+        }
         let gpus = gpus.max(1);
         self.clock = WorkerClock::new(gpus);
         self.gpus = std::iter::repeat_with(|| None).take(gpus).collect();
@@ -655,7 +660,7 @@ impl Study {
         let Some(item) = open_items(&mut self.gpus, &mut self.queue).find(|i| i.query == query)
         else {
             // An outstanding lease always has its item open: `finish`
-            // voids leases when it clears the queue.
+            // voids leases when it clears the queue. analyze::allow(R15)
             unreachable!("outstanding lease without an open item");
         };
         item.result = Some(*result);
@@ -1339,4 +1344,75 @@ fn hedge_jitter_unit(seed: u64, query: u64, attempt: u32) -> f64 {
     h = h.wrapping_mul(SEED_MIX).wrapping_add(query);
     h = h.wrapping_mul(SEED_MIX).wrapping_add(u64::from(attempt));
     StdRng::seed_from_u64(h).random_range(0.0..1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::expect_used)]
+
+    use super::*;
+    use crate::golden::encode_trace;
+    use hyperpower_gpu_sim::DeviceProfile;
+
+    const SEED: u64 = 0x57D1;
+
+    fn spec() -> StudySpec {
+        StudySpec {
+            method: Method::Rand,
+            mode: Mode::Default,
+            budget: Budget::Evaluations(4),
+            seed: SEED,
+            budgets: Budgets::default(),
+            cost: TrainingCostModel::default(),
+            early_termination: None,
+            fault_profile: FaultProfile::none(),
+            retry: RetryPolicy::default(),
+            drift: DriftConfig::default(),
+        }
+    }
+
+    fn result(seed: u64) -> EvaluationResult {
+        EvaluationResult {
+            error: 0.05 + (seed % 97) as f64 / 100.0,
+            diverged: false,
+            terminated_early: false,
+            train_secs: 400.0 + (seed % 13) as f64 * 25.0,
+        }
+    }
+
+    /// Asks one candidate at a time and tells each back until the study
+    /// finishes; `between` runs on the study after the first ask.
+    fn run(mut study: Study, between: impl FnOnce(Study) -> Study) -> Trace {
+        let space = SearchSpace::mnist();
+        let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), SEED);
+        let mut batch = study
+            .ask(&space, &mut gpu, 1, 0.0, None::<&mut NullSink>)
+            .expect("ask");
+        study = between(study);
+        while !batch.is_empty() {
+            for c in &batch {
+                let outcome = study
+                    .tell(
+                        &mut gpu,
+                        c.lease_id,
+                        &result(c.eval_seed),
+                        None::<&mut NullSink>,
+                    )
+                    .expect("tell");
+                assert!(matches!(outcome, TellOutcome::Accepted { .. }));
+            }
+            batch = study
+                .ask(&space, &mut gpu, 1, 0.0, None::<&mut NullSink>)
+                .expect("ask");
+        }
+        study.into_trace()
+    }
+
+    #[test]
+    fn simulated_gpus_after_the_first_ask_is_ignored() {
+        let reference = run(Study::new(spec(), None, None), |s| s);
+        let late = run(Study::new(spec(), None, None), |s| s.with_simulated_gpus(4));
+        assert_eq!(reference.samples.len(), 4);
+        assert_eq!(encode_trace(&reference), encode_trace(&late));
+    }
 }

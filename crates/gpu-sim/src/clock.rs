@@ -167,37 +167,21 @@ impl<T> CommitQueue<T> {
     /// Removes and returns the `(time_s, seq, item)` triple with the
     /// smallest `(time, seq)` key, or `None` if empty.
     pub fn pop_min(&mut self) -> Option<(f64, u64, T)> {
-        let mut best: Option<usize> = None;
-        for (i, (t, s, _)) in self.items.iter().enumerate() {
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let (bt, bs, _) = &self.items[b]; // in-bounds: b comes from enumerate
-                    if key_less((*t, *s), (*bt, *bs)) {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        best.map(|i| self.items.swap_remove(i))
+        self.min_entry().map(|(i, _)| self.items.swap_remove(i))
     }
 
     /// The smallest `(time, seq)` key currently queued, without removing it.
     pub fn peek_min_key(&self) -> Option<(f64, u64)> {
-        let mut best: Option<(f64, u64)> = None;
-        for (t, s, _) in &self.items {
-            best = match best {
-                None => Some((*t, *s)),
-                Some(b) => {
-                    if key_less((*t, *s), b) {
-                        Some((*t, *s))
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+        self.min_entry().map(|(_, key)| key)
+    }
+
+    /// Position and key of the item with the smallest `(time, seq)` key.
+    fn min_entry(&self) -> Option<(usize, (f64, u64))> {
+        let mut best: Option<(usize, (f64, u64))> = None;
+        for (i, (t, s, _)) in self.items.iter().enumerate() {
+            if best.is_none_or(|(_, b)| key_less((*t, *s), b)) {
+                best = Some((i, (*t, *s)));
+            }
         }
         best
     }
