@@ -234,7 +234,7 @@ fn check_line(
     let line = std::str::from_utf8(raw).map_err(|_| format!("line {line_no}: not UTF-8"))?;
     let (tag, rest) = match (line.strip_prefix("H "), line_no) {
         (Some(rest), 1) => ('H', rest),
-        (None, 1) => return Err(format!("line 1: missing `H ` header record")),
+        (None, 1) => return Err("line 1: missing `H ` header record".to_string()),
         _ => match (line.strip_prefix("E "), line.strip_prefix("S ")) {
             (Some(rest), _) => ('E', rest),
             (_, Some(rest)) => ('S', rest),
@@ -247,8 +247,7 @@ fn check_line(
         'S' => {
             let value = golden::parse(payload)
                 .map_err(|e| format!("line {line_no}: undecodable sample: {e}"))?;
-            let index =
-                sample_index(&value).map_err(|e| format!("line {line_no}: {e}"))?;
+            let index = sample_index(&value).map_err(|e| format!("line {line_no}: {e}"))?;
             scan.sample_indices.push(index);
         }
         _ => {}
@@ -312,8 +311,8 @@ fn check_snapshot(
                 run: snapshot.header,
             });
             let journal_header = scan.header_payload.as_deref().unwrap_or_default();
-            let legacy = expected
-                .replace("hyperpower-study-journal-v2", "hyperpower-study-journal-v1");
+            let legacy =
+                expected.replace("hyperpower-study-journal-v2", "hyperpower-study-journal-v1");
             if journal_header == expected || journal_header == legacy {
                 None
             } else {
@@ -341,11 +340,10 @@ fn check_snapshot(
         return Ok(());
     }
     if salvage {
-        std::fs::remove_file(snapshot_path)
-            .map_err(|e| io_err("removing", snapshot_path, e))?;
-        study.repairs.push(
-            "dropped the defective snapshot (journal holds the full history)".to_string(),
-        );
+        std::fs::remove_file(snapshot_path).map_err(|e| io_err("removing", snapshot_path, e))?;
+        study
+            .repairs
+            .push("dropped the defective snapshot (journal holds the full history)".to_string());
     }
     Ok(())
 }

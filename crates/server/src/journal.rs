@@ -63,7 +63,10 @@ const JOURNAL_SCHEMA: &str = "hyperpower-study-journal-v2";
 
 /// Frames a record payload for the wire: `<crc32 hex8> <payload>`.
 pub(crate) fn frame_payload(payload: &str) -> String {
-    format!("{} {payload}", hyperpower::integrity::crc32_hex(payload.as_bytes()))
+    format!(
+        "{} {payload}",
+        hyperpower::integrity::crc32_hex(payload.as_bytes())
+    )
 }
 
 /// Strips and verifies a record's integrity frame, returning the payload.
@@ -74,7 +77,9 @@ pub(crate) fn unframe_payload(rest: &str) -> Result<&str> {
         return Ok(rest);
     }
     let (token, payload) = rest.split_once(' ').ok_or_else(|| {
-        Error::Checkpoint(format!("corrupt frame: unterminated checksum token in {rest:?}"))
+        Error::Checkpoint(format!(
+            "corrupt frame: unterminated checksum token in {rest:?}"
+        ))
     })?;
     let expected = hyperpower::integrity::parse_crc32_hex(token).ok_or_else(|| {
         Error::Checkpoint(format!("corrupt frame: malformed checksum token {token:?}"))
@@ -199,8 +204,11 @@ impl StudyJournal {
         let (journal_path, snapshot_path) = study_paths(root, &header.name);
         std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
         let header_line = encode_header_line(header);
-        std::fs::write(&journal_path, format!("H {}\n", frame_payload(&header_line)))
-            .map_err(|e| io_err("writing", &journal_path, e))?;
+        std::fs::write(
+            &journal_path,
+            format!("H {}\n", frame_payload(&header_line)),
+        )
+        .map_err(|e| io_err("writing", &journal_path, e))?;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&journal_path)

@@ -449,9 +449,7 @@ impl StudyServer {
         }
         match error {
             None => self.tenants.observe_success(name, self.clock_s),
-            Some(ServerError::Core(
-                Error::LeaseExpired { .. } | Error::UnknownLease { .. },
-            )) => {}
+            Some(ServerError::Core(Error::LeaseExpired { .. } | Error::UnknownLease { .. })) => {}
             Some(ServerError::Core(_)) => {
                 self.tenants.observe_failure(name, self.clock_s);
             }

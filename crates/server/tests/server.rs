@@ -28,8 +28,7 @@ use hyperpower::{
 };
 use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 use hyperpower_server::{
-    fsck_store, HealthState, ServerConfig, ServerError, StudyServer, StudySetup,
-    SyntheticObjective,
+    fsck_store, HealthState, ServerConfig, ServerError, StudyServer, StudySetup, SyntheticObjective,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -723,7 +722,10 @@ fn hedged_duplicate_commits_once_and_is_trace_neutral() {
     assert!(server.tick_hedge(300.0).hedged.is_empty());
 
     // First fulfilment commits; the loser resolves as a duplicate.
-    match server.tell("h", hedged.lease_id, &eval(hedged)).expect("tell") {
+    match server
+        .tell("h", hedged.lease_id, &eval(hedged))
+        .expect("tell")
+    {
         TellOutcome::Accepted { .. } => {}
         other => panic!("hedge winner must commit, got {other:?}"),
     }
@@ -756,7 +758,9 @@ fn drive_hedged(server: &mut StudyServer, name: &str, width: usize, schedule_see
         now += 60.0;
         let report = server.tick_hedge(now);
         for (study, c) in report.hedged {
-            server.tell(&study, c.lease_id, &eval(&c)).expect("hedged tell");
+            server
+                .tell(&study, c.lease_id, &eval(&c))
+                .expect("hedged tell");
         }
         let mut due = Vec::new();
         stalled.retain(|(c, release)| {
@@ -854,18 +858,20 @@ fn sustained_overload_returns_only_typed_refusals() {
         // high-water mark) and let overdue leases reclaim, as any real
         // serving loop would.
         server.tick(now);
-        pending.retain(|(lease_id, result)| match server.tell("soak", *lease_id, result) {
-            Ok(_) => false,
-            Err(ServerError::Backpressure { retry_after_s, .. }) => {
-                assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
-                refusals += 1;
-                true
-            }
-            // A starved tell can outlive its lease; the candidate goes
-            // back to the queue and a later ask re-issues it.
-            Err(ServerError::Core(Error::LeaseExpired { .. })) => false,
-            Err(e) => panic!("tell refused untypedly: {e}"),
-        });
+        pending.retain(
+            |(lease_id, result)| match server.tell("soak", *lease_id, result) {
+                Ok(_) => false,
+                Err(ServerError::Backpressure { retry_after_s, .. }) => {
+                    assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
+                    refusals += 1;
+                    true
+                }
+                // A starved tell can outlive its lease; the candidate goes
+                // back to the queue and a later ask re-issues it.
+                Err(ServerError::Core(Error::LeaseExpired { .. })) => false,
+                Err(e) => panic!("tell refused untypedly: {e}"),
+            },
+        );
         if server.is_finished("soak").expect("is_finished") {
             if pending.is_empty() {
                 break;
@@ -983,10 +989,7 @@ fn fsck_salvages_a_rotted_journal_back_to_replayable_bytes() {
     // a half-written temp file next to it.
     let (journal_path, _) = hyperpower_server::journal::study_paths(&root, "rotted");
     let mut bytes = std::fs::read(&journal_path).expect("journal bytes");
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .expect("header line");
+    let header_end = bytes.iter().position(|&b| b == b'\n').expect("header line");
     bytes[header_end + 20] ^= 0x01;
     std::fs::write(&journal_path, &bytes).expect("rot journal");
     std::fs::write(journal_path.with_extension("journal-tmp"), "half-written").expect("tmp");
@@ -999,10 +1002,16 @@ fn fsck_salvages_a_rotted_journal_back_to_replayable_bytes() {
 
     // Salvage truncates to the last valid frame and sweeps the temp.
     let salvaged = fsck_store(&root, true).expect("salvage");
-    assert!(salvaged.salvaged, "salvage must report repairs:\n{salvaged}");
+    assert!(
+        salvaged.salvaged,
+        "salvage must report repairs:\n{salvaged}"
+    );
     assert!(salvaged.recoverable());
     let rescan = fsck_store(&root, false).expect("rescan");
-    assert!(rescan.clean(), "the salvaged store must scan clean:\n{rescan}");
+    assert!(
+        rescan.clean(),
+        "the salvaged store must scan clean:\n{rescan}"
+    );
 
     // Reopen (replaying the salvaged prefix) and finish: byte-identical.
     let mut server = StudyServer::new(config).expect("server 2");
