@@ -276,8 +276,13 @@ pub(crate) fn gram_into(rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Blocked right-looking Cholesky: factors the lower triangle of `a` (n×n,
-/// row-major) into `l` (pre-zeroed n×n).
+/// Rows per panel-solve tile: [`panel_solve_tile`] carries `PS_R` rows of
+/// one panel column as two 4-wide vectors through the in-panel k-loop.
+const PS_R: usize = 8;
+
+/// Blocked right-looking Cholesky: factors the lower triangle of `l` (n×n,
+/// row-major) in place. The strict upper triangle is never written; the
+/// trailing update may read it into tile lanes it then discards.
 ///
 /// Returns `Err((pivot, value))` on the first non-positive or non-finite
 /// pivot — the same index and the bit-identical pivot value the naive
@@ -287,18 +292,18 @@ pub(crate) fn gram_into(rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
 /// strictly increasing (earlier panels are subtracted by the trailing
 /// update, the in-panel remainder by the panel factorization), then takes
 /// the same `sqrt`/divide.
-pub(crate) fn cholesky_factor(n: usize, a: &[f64], l: &mut [f64]) -> Result<(), (usize, f64)> {
-    debug_assert_eq!(a.len(), n * n);
+pub(crate) fn cholesky_factor(n: usize, l: &mut [f64]) -> Result<(), (usize, f64)> {
     debug_assert_eq!(l.len(), n * n);
-    // Workspace: the lower triangle of `a`, updated in place panel by panel.
-    for i in 0..n {
-        for j in 0..=i {
-            l[i * n + j] = a[i * n + j];
-        }
-    }
+    // Rows k1..n of the current panel, row-major and padded with zero rows
+    // to a multiple of `PS_R`: the packed `a` operand of the trailing
+    // update, and the source of its packed `b` tiles.
+    let mut panel: Vec<f64> = Vec::new();
+    let mut bp: Vec<f64> = Vec::new();
+    let mut tile: Vec<[f64; PS_R]> = Vec::with_capacity(PANEL);
     let mut k0 = 0;
     while k0 < n {
         let k1 = (k0 + PANEL).min(n);
+        let kw = k1 - k0;
         // Factor the diagonal block (left-looking within the panel; the
         // contributions of columns < k0 are already subtracted).
         for i in k0..k1 {
@@ -317,71 +322,152 @@ pub(crate) fn cholesky_factor(n: usize, a: &[f64], l: &mut [f64]) -> Result<(), 
                 }
             }
         }
-        // Panel solve: rows below the diagonal block against the panel.
-        for i in k1..n {
-            for j in k0..k1 {
-                let mut sum = l[i * n + j];
-                for k in k0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
+        // Panel solve: rows below the diagonal block against the panel,
+        // `PS_R` rows at a time through a transposed tile.
+        let tn = n - k1;
+        panel.clear();
+        panel.resize(tn.next_multiple_of(PS_R) * kw, 0.0);
+        for (t, prows) in panel.chunks_exact_mut(PS_R * kw).enumerate() {
+            let i0 = k1 + t * PS_R;
+            let ih = (n - i0).min(PS_R);
+            tile.clear();
+            tile.extend(
+                (k0..k1).map(|j| {
+                    core::array::from_fn(|r| if r < ih { l[(i0 + r) * n + j] } else { 0.0 })
+                }),
+            );
+            panel_solve_tile(n, k0, l, &mut tile);
+            for (j, col) in tile.iter().enumerate() {
+                for (r, &v) in col.iter().enumerate() {
+                    prows[r * kw + j] = v;
+                    if r < ih {
+                        l[(i0 + r) * n + k0 + j] = v;
+                    }
                 }
-                l[i * n + j] = sum / l[j * n + j];
             }
         }
         // Trailing update: w[i,j] −= Σ_{k in panel} l[i,k]·l[j,k] for the
         // remaining lower triangle, k strictly increasing per element.
-        if k1 < n {
-            trailing_update(n, k0, k1, l);
+        if tn > 0 {
+            trailing_update(n, k1, kw, &panel, &mut bp, l);
         }
         k0 = k1;
     }
     Ok(())
 }
 
-/// Rank-`k1-k0` update of the trailing lower triangle, register-tiled.
+/// In-panel forward substitution for one tile of `PS_R` rows:
+/// `tile[j][r]` enters holding `w[i0+r, k0+j]` and leaves holding
+/// `(w[i0+r, k0+j] − Σ_{k<j} l[i0+r, k0+k]·l[k0+j, k0+k]) / l[k0+j, k0+j]`,
+/// k increasing — the naive per-element sequence, run for `PS_R` rows in
+/// lockstep. Rows are the vector lanes, so no reduction is split; padding
+/// lanes compute values the caller discards.
+fn panel_solve_tile(n: usize, k0: usize, l: &[f64], tile: &mut [[f64; PS_R]]) {
+    for j in 0..tile.len() {
+        let diag_row = &l[(k0 + j) * n + k0..=(k0 + j) * n + k0 + j];
+        let (ljk, pivot) = diag_row.split_at(j);
+        let (done, rest) = tile.split_at_mut(j);
+        let (Some(cur), Some(&d)) = (rest.first_mut(), pivot.first()) else {
+            return;
+        };
+        let mut acc = *cur;
+        for (tk, &lk) in done.iter().zip(ljk) {
+            for (a, &t) in acc.iter_mut().zip(tk) {
+                *a -= t * lk;
+            }
+        }
+        for a in &mut acc {
+            *a /= d;
+        }
+        *cur = acc;
+    }
+}
+
+/// Full-tile trailing-update micro-kernel:
+/// `acc[r][c] −= arows[r][k] · bp[k·MM_N + c]` for every k, in increasing k.
 ///
-/// Packs the panel transposed (`pt[k][j] = l[j][k]`) so the micro-kernel
-/// reads both operands contiguously; packing copies f64 values bit-exactly.
-fn trailing_update(n: usize, k0: usize, k1: usize, l: &mut [f64]) {
-    let kw = k1 - k0;
-    let tn = n - k1;
-    let mut pt = vec![0.0f64; kw * tn];
-    for j in 0..tn {
-        for (k, ptk) in pt.chunks_exact_mut(tn).enumerate() {
-            ptk[j] = l[(k1 + j) * n + k0 + k];
+/// The subtracting twin of [`tile_kernel_clean`], built the same way and
+/// for the same reason: zipped iterators leave no panic path, and
+/// `#[inline(never)]` lets LLVM keep the 4×8 tile in registers across the
+/// k-loop. The naive Cholesky has no `== 0.0` skip, so neither does this.
+#[inline(never)]
+fn tile_kernel_sub(arows: &[&[f64]; MM_R], bp: &[f64], acc: &mut [[f64; MM_N]; MM_R]) {
+    let [a0s, a1s, a2s, a3s] = *arows;
+    let [acc0, acc1, acc2, acc3] = acc;
+    for ((((brow, &a0), &a1), &a2), &a3) in
+        bp.chunks_exact(MM_N).zip(a0s).zip(a1s).zip(a2s).zip(a3s)
+    {
+        for (s, &bv) in acc0.iter_mut().zip(brow) {
+            *s -= a0 * bv;
+        }
+        for (s, &bv) in acc1.iter_mut().zip(brow) {
+            *s -= a1 * bv;
+        }
+        for (s, &bv) in acc2.iter_mut().zip(brow) {
+            *s -= a2 * bv;
+        }
+        for (s, &bv) in acc3.iter_mut().zip(brow) {
+            *s -= a3 * bv;
         }
     }
-    let mut i0 = k1;
-    while i0 < n {
-        let ih = (n - i0).min(MR);
-        let mut j0 = k1;
+}
+
+/// Rank-`kw` update of the trailing lower triangle (rows and columns
+/// `k1..n`), register-tiled.
+///
+/// `panel` holds rows `k1..n` of the just-solved panel packed row-major
+/// (`kw` wide, zero rows padding it to a multiple of `PS_R`). It is the row
+/// operand as is; its rows, transposed into `kw`×`MM_N` tiles in `bp`, are
+/// the column operand. Packing copies f64 values bit-exactly, and padding
+/// lanes land only in accumulators that are never stored.
+fn trailing_update(
+    n: usize,
+    k1: usize,
+    kw: usize,
+    panel: &[f64],
+    bp: &mut Vec<f64>,
+    l: &mut [f64],
+) {
+    let tn = n - k1;
+    let tiles = tn.div_ceil(MM_N);
+    bp.clear();
+    bp.resize(tiles * kw * MM_N, 0.0);
+    for (t, bt) in bp.chunks_exact_mut(kw * MM_N).enumerate() {
+        for (c, prow) in panel.chunks_exact(kw).skip(t * MM_N).take(MM_N).enumerate() {
+            for (k, &v) in prow.iter().enumerate() {
+                bt[k * MM_N + c] = v;
+            }
+        }
+    }
+    for (t, aall) in panel.chunks_exact(MM_R * kw).enumerate() {
+        let i0 = t * MM_R;
+        if i0 >= tn {
+            break;
+        }
+        let ih = (tn - i0).min(MM_R);
+        let arows: [&[f64]; MM_R] = core::array::from_fn(|r| &aall[r * kw..(r + 1) * kw]);
         // Only tiles intersecting the lower triangle j <= i.
-        while j0 < n && j0 < i0 + ih {
-            let jw = (n - j0).min(NR);
-            let mut acc = [[0.0f64; NR]; MR];
+        for (u, bt) in bp.chunks_exact(kw * MM_N).enumerate() {
+            let j0 = u * MM_N;
+            if j0 >= i0 + ih {
+                break;
+            }
+            let jw = (tn - j0).min(MM_N);
+            let mut acc = [[0.0f64; MM_N]; MM_R];
             for (r, accr) in acc.iter_mut().enumerate().take(ih) {
-                accr[..jw].copy_from_slice(&l[(i0 + r) * n + j0..(i0 + r) * n + j0 + jw]);
+                let at = (k1 + i0 + r) * n + k1 + j0;
+                accr[..jw].copy_from_slice(&l[at..at + jw]);
             }
-            for (k, ptk) in pt.chunks_exact(tn).enumerate() {
-                let pj = &ptk[j0 - k1..j0 - k1 + jw];
-                for (r, accr) in acc.iter_mut().enumerate().take(ih) {
-                    let lik = l[(i0 + r) * n + k0 + k];
-                    for (c, &pv) in pj.iter().enumerate() {
-                        accr[c] -= lik * pv;
-                    }
-                }
-            }
+            tile_kernel_sub(&arows, bt, &mut acc);
             for (r, accr) in acc.iter().enumerate().take(ih) {
                 let irow = i0 + r;
                 for (c, &v) in accr.iter().enumerate().take(jw) {
-                    let jcol = j0 + c;
-                    if jcol <= irow {
-                        l[irow * n + jcol] = v;
+                    if j0 + c <= irow {
+                        l[(k1 + irow) * n + k1 + j0 + c] = v;
                     }
                 }
             }
-            j0 += NR;
         }
-        i0 += MR;
     }
 }
 
@@ -431,30 +517,78 @@ pub(crate) fn solve_lower_multi(n: usize, l: &[f64], nrhs: usize, y: &mut [f64])
     }
 }
 
+/// Forward substitution `L·y = b` for a single right-hand side, in place.
+///
+/// The per-element sequence of [`solve_lower_multi`] at `nrhs = 1` — start
+/// from `b[i]`, subtract `l[i,k]·y[k]` for k = 0..i in increasing order,
+/// divide by `l[i,i]` — with the running value held in a register: the
+/// multi-RHS kernel keeps it in memory, which at one RHS puts a store and a
+/// reload on every step of the dependency chain.
+pub(crate) fn solve_lower_single(n: usize, l: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
+    debug_assert_eq!(y.len(), n);
+    for (i, lrow) in l.chunks_exact(n.max(1)).enumerate() {
+        let (done, rest) = y.split_at_mut(i);
+        let (lik, diag) = lrow.split_at(i);
+        let (Some(yi), Some(&d)) = (rest.first_mut(), diag.first()) else {
+            return;
+        };
+        let mut sum = *yi;
+        for (&a, &yk) in lik.iter().zip(done.iter()) {
+            sum -= a * yk;
+        }
+        *yi = sum / d;
+    }
+}
+
+/// Backward substitution `Lᵀ·x = y` for a single right-hand side, in
+/// place, reading `L` by column: the per-element sequence of
+/// [`solve_lower_transpose_multi`] at `nrhs = 1`, with the running value
+/// held in a register (see [`solve_lower_single`]).
+pub(crate) fn solve_lower_transpose_single(n: usize, l: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
+    debug_assert_eq!(y.len(), n);
+    for i in (0..n).rev() {
+        let (head, xs) = y.split_at_mut(i + 1);
+        let Some(yi) = head.last_mut() else {
+            return;
+        };
+        let mut sum = *yi;
+        // Column i below the diagonal: l[i+1,i], l[i+2,i], …
+        let below = l.iter().skip((i + 1) * n + i).step_by(n);
+        for (&lki, &xk) in below.zip(xs.iter()) {
+            sum -= lki * xk;
+        }
+        *yi = sum / l[i * n + i];
+    }
+}
+
 /// Backward substitution `Lᵀ·X = Y` for `nrhs` right-hand sides stored
-/// column-wise (`y[i * nrhs + r]`), reading `L` through its cached
-/// transpose `lt` (`lt[i * n + k] = l[k * n + i]`).
+/// column-wise (`y[i * nrhs + r]`), reading `L` by column.
 ///
 /// Backward substitution cannot be panel-reordered without changing the
 /// per-element k order (element i needs x[k] for *all* k > i before it can
-/// finish), so the blocking here is layout-only: the transposed factor
-/// makes the k-loop a contiguous read, and the RHS dimension vectorizes.
-/// Per (element, RHS): subtract `l[k,i]·x[k]` for k = i+1..n in increasing
+/// finish), so the blocking here is layout-only: the RHS dimension
+/// vectorizes, and column i of `L` is read with a stride of `n`. Per
+/// (element, RHS): subtract `l[k,i]·x[k]` for k = i+1..n in increasing
 /// order, then divide — the naive `solve_lower_transpose` sequence.
-pub(crate) fn solve_lower_transpose_multi(n: usize, lt: &[f64], nrhs: usize, y: &mut [f64]) {
-    debug_assert_eq!(lt.len(), n * n);
+pub(crate) fn solve_lower_transpose_multi(n: usize, l: &[f64], nrhs: usize, y: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
     debug_assert_eq!(y.len(), n * nrhs);
+    if nrhs == 0 {
+        return;
+    }
     for i in (0..n).rev() {
         let (_, tail) = y.split_at_mut(i * nrhs);
         let (yi, xs) = tail.split_at_mut(nrhs);
-        for k in i + 1..n {
-            let lki = lt[i * n + k];
-            let xk = &xs[(k - i - 1) * nrhs..(k - i) * nrhs];
+        // Column i below the diagonal: l[i+1,i], l[i+2,i], …
+        let below = l.iter().skip((i + 1) * n + i).step_by(n);
+        for (&lki, xk) in below.zip(xs.chunks_exact(nrhs)) {
             for (yv, &kv) in yi.iter_mut().zip(xk) {
                 *yv -= lki * kv;
             }
         }
-        let d = lt[i * n + i];
+        let d = l[i * n + i];
         for yv in yi.iter_mut() {
             *yv /= d;
         }

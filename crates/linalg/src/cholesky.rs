@@ -27,10 +27,6 @@ use crate::{Error, Matrix, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
-    /// Cached `Lᵀ` (row-major), so backward substitution — which cannot be
-    /// panel-reordered without changing the per-element accumulation order —
-    /// still reads its k-loop contiguously. Derived from `l` at factor time.
-    lt: Matrix,
 }
 
 impl Cholesky {
@@ -62,13 +58,63 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
-        crate::block::cholesky_factor(n, a.as_slice(), l.buf_mut())
+        for i in 0..n {
+            let lower = i * n..=i * n + i;
+            l.buf_mut()[lower.clone()].copy_from_slice(&a.as_slice()[lower]);
+        }
+        Cholesky::factor_in_place(l.buf_mut(), n)?;
+        Ok(Cholesky { l })
+    }
+
+    /// Factors in place the symmetric positive-definite matrix whose lower
+    /// triangle is stored in `buf`, a row-major n×n buffer: on success the
+    /// lower triangle holds `L`. The strict upper triangle is ignored and
+    /// left as it was.
+    ///
+    /// This is the factorization behind [`Cholesky::factor`], bit for bit.
+    /// It exists for callers that factor many same-sized matrices, such as
+    /// the GP hyper-parameter fit, and reuse one buffer for all of them.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::ShapeMismatch`] if `buf.len() != n * n`.
+    /// * [`Error::NonFiniteInput`] if the lower triangle contains NaN or
+    ///   infinity.
+    /// * [`Error::NotPositiveDefinite`] if a non-positive pivot arises.
+    pub fn factor_in_place(buf: &mut [f64], n: usize) -> Result<()> {
+        check_square_buffer(buf, n)?;
+        let lower_finite = buf
+            .chunks(n.max(1))
+            .enumerate()
+            .all(|(i, row)| row.iter().take(i + 1).all(|v| v.is_finite()));
+        if !lower_finite {
+            return Err(Error::NonFiniteInput);
+        }
+        crate::block::cholesky_factor(n, buf)
             .map_err(|(pivot, value)| Error::NotPositiveDefinite { pivot, value })?;
         // Inputs were checked above; this catches factor-internal
         // overflow/underflow before L escapes into GP solves.
-        crate::debug_assert_finite!("cholesky factor L", l.as_slice());
-        let lt = l.transpose();
-        Ok(Cholesky { l, lt })
+        for (i, row) in buf.chunks(n.max(1)).enumerate() {
+            crate::debug_assert_finite!("cholesky factor L", row.get(..=i).unwrap_or(row));
+        }
+        Ok(())
+    }
+
+    /// Solves `A·x = b` in place against a factor made by
+    /// [`Cholesky::factor_in_place`] (forward then backward substitution,
+    /// reading only the lower triangle of `factor`). Bit-identical to
+    /// [`Cholesky::solve`] on the same factor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `factor.len() != n * n` or
+    /// `b.len() != n`.
+    pub fn solve_in_place(factor: &[f64], n: usize, b: &mut [f64]) -> Result<()> {
+        check_square_buffer(factor, n)?;
+        check_rhs_len(b, n)?;
+        crate::block::solve_lower_single(n, factor, b);
+        crate::block::solve_lower_transpose_single(n, factor, b);
+        Ok(())
     }
 
     /// Factors `a + jitter·I`, escalating `jitter` by ×10 up to `max_tries`
@@ -129,8 +175,9 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let y = self.solve_lower(b)?;
-        self.solve_lower_transpose(&y)
+        let mut x = b.to_vec();
+        Cholesky::solve_in_place(self.l.as_slice(), self.dim(), &mut x)?;
+        Ok(x)
     }
 
     /// Solves the lower-triangular system `L·y = b` (forward substitution).
@@ -140,14 +187,9 @@ impl Cholesky {
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", b.len()),
-            });
-        }
+        check_rhs_len(b, n)?;
         let mut y = b.to_vec();
-        crate::block::solve_lower_multi(n, self.l.as_slice(), 1, &mut y);
+        crate::block::solve_lower_single(n, self.l.as_slice(), &mut y);
         Ok(y)
     }
 
@@ -158,14 +200,9 @@ impl Cholesky {
     /// Returns [`Error::ShapeMismatch`] if `y.len() != self.dim()`.
     pub fn solve_lower_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
-        if y.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", y.len()),
-            });
-        }
+        check_rhs_len(y, n)?;
         let mut x = y.to_vec();
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, &mut x);
+        crate::block::solve_lower_transpose_single(n, self.l.as_slice(), &mut x);
         Ok(x)
     }
 
@@ -202,7 +239,7 @@ impl Cholesky {
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         let mut out = self.solve_lower_columns(b)?;
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), out.cols(), out.buf_mut());
+        crate::block::solve_lower_transpose_multi(n, self.l.as_slice(), out.cols(), out.buf_mut());
         Ok(out)
     }
 
@@ -221,6 +258,26 @@ impl Cholesky {
                 .sum()
         })
     }
+}
+
+fn check_square_buffer(buf: &[f64], n: usize) -> Result<()> {
+    if n.checked_mul(n) != Some(buf.len()) {
+        return Err(Error::ShapeMismatch {
+            expected: format!("{n}x{n} buffer"),
+            found: format!("buffer of length {}", buf.len()),
+        });
+    }
+    Ok(())
+}
+
+fn check_rhs_len(b: &[f64], n: usize) -> Result<()> {
+    if b.len() != n {
+        return Err(Error::ShapeMismatch {
+            expected: format!("rhs of length {n}"),
+            found: format!("rhs of length {}", b.len()),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -315,6 +372,49 @@ mod tests {
         let inv = c.solve_matrix(&Matrix::identity(3)).unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
+    }
+
+    #[test]
+    fn in_place_entry_points_match_the_owned_factor() {
+        let a = spd3();
+        let chol = a.cholesky().unwrap();
+        // The upper triangle is ignored on input and left as it was.
+        let mut buf = a.as_slice().to_vec();
+        buf[1] = f64::NAN;
+        Cholesky::factor_in_place(&mut buf, 3).unwrap();
+        assert!(buf[1].is_nan());
+        for i in 0..3 {
+            for j in 0..=i {
+                assert_eq!(buf[i * 3 + j].to_bits(), chol.factor_l()[(i, j)].to_bits());
+            }
+        }
+        let mut x = vec![1.0, -2.0, 0.5];
+        Cholesky::solve_in_place(&buf, 3, &mut x).unwrap();
+        let expected = chol.solve(&[1.0, -2.0, 0.5]).unwrap();
+        assert_eq!(x, expected);
+    }
+
+    #[test]
+    fn in_place_entry_points_reject_bad_shapes_and_values() {
+        let mut buf = vec![1.0; 8];
+        assert!(matches!(
+            Cholesky::factor_in_place(&mut buf, 3),
+            Err(Error::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            Cholesky::solve_in_place(&buf, 3, &mut [0.0; 3]),
+            Err(Error::ShapeMismatch { .. })
+        ));
+        let mut identity = Matrix::identity(2).as_slice().to_vec();
+        assert!(matches!(
+            Cholesky::solve_in_place(&identity, 2, &mut [0.0; 3]),
+            Err(Error::ShapeMismatch { .. })
+        ));
+        identity[2] = f64::INFINITY;
+        assert!(matches!(
+            Cholesky::factor_in_place(&mut identity, 2),
+            Err(Error::NonFiniteInput)
+        ));
     }
 
     #[test]

@@ -48,22 +48,49 @@ fn matrix_of(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(r, c, data).expect("sized to shape"))
 }
 
+/// Cholesky sizes: the tile and panel boundaries of [`dim_strategy`], plus
+/// sizes that cross three or more panels (PANEL = 32) and end in partial
+/// 8-row panel-solve tiles and partial 4×8 trailing-update tiles.
+fn cholesky_dim_strategy() -> impl Strategy<Value = usize> {
+    select(vec![1usize, 2, 3, 5, 8, 9, 31, 32, 33, 40, 65, 97, 131])
+}
+
 /// SPD-ish strategy spanning well-conditioned to numerically indefinite:
 /// `B·Bᵀ + d·I` where `d` ranges from a dominant diagonal down to exactly
 /// zero (rank-deficient for most draws, so the factorization *fails* — and
 /// the failure must match the oracle bit-for-bit too).
 fn spd_spectrum_strategy() -> impl Strategy<Value = Matrix> {
+    spd_spectrum_of(dim_strategy())
+}
+
+fn spd_spectrum_of(dims: impl Strategy<Value = usize>) -> impl Strategy<Value = Matrix> {
+    (dims, select(vec![8.0f64, 8.0, 1.0, 1.0, 1e-9, 1e-15, 0.0])).prop_flat_map(|(n, diag)| {
+        proptest::collection::vec(-2.0f64..2.0, n * n).prop_map(move |data| {
+            let b = Matrix::from_vec(n, n, data).expect("sized to shape");
+            let mut a = b.matmul(&b.transpose()).expect("square product");
+            a.add_diagonal(diag);
+            a
+        })
+    })
+}
+
+/// [`spd_spectrum_of`] over [`cholesky_dim_strategy`], with one draw in
+/// three zeroing a diagonal entry in the second half of the matrix: the
+/// first bad pivot then lands in a later panel for the multi-panel sizes,
+/// after earlier panels' trailing updates have run.
+fn cholesky_strategy() -> impl Strategy<Value = Matrix> {
     (
-        dim_strategy(),
-        select(vec![8.0f64, 8.0, 1.0, 1.0, 1e-9, 1e-15, 0.0]),
+        spd_spectrum_of(cholesky_dim_strategy()),
+        0u8..3,
+        0.5f64..1.0,
     )
-        .prop_flat_map(|(n, diag)| {
-            proptest::collection::vec(-2.0f64..2.0, n * n).prop_map(move |data| {
-                let b = Matrix::from_vec(n, n, data).expect("sized to shape");
-                let mut a = b.matmul(&b.transpose()).expect("square product");
-                a.add_diagonal(diag);
-                a
-            })
+        .prop_map(|(mut a, kind, at)| {
+            if kind == 0 {
+                let n = a.rows();
+                let p = ((n as f64 * at) as usize).min(n - 1);
+                a[(p, p)] = 0.0;
+            }
+            a
         })
 }
 
@@ -96,7 +123,7 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_bit_equals_naive_across_conditioning(a in spd_spectrum_strategy()) {
+    fn cholesky_bit_equals_naive_across_conditioning(a in cholesky_strategy()) {
         match (naive_cholesky(&a), Cholesky::factor(&a)) {
             (Ok(l_ref), Ok(chol)) => {
                 assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
@@ -206,6 +233,26 @@ fn empty_cholesky_factors() {
     let chol = Cholesky::factor(&Matrix::zeros(0, 0)).unwrap();
     assert_eq!(chol.dim(), 0);
     assert_eq!(chol.solve(&[]).unwrap(), Vec::<f64>::new());
+}
+
+#[test]
+fn first_bad_pivot_in_a_later_panel_matches_naive() {
+    // 97 = three full panels plus one column; pivot 80 sits in the third
+    // panel, so two trailing updates and panel solves run before it fails.
+    let n = 97;
+    let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 23.0 - 0.5);
+    let mut a = b.matmul(&b.transpose()).unwrap();
+    a.add_diagonal(1.0);
+    a[(80, 80)] = 0.0;
+    let (pivot_ref, value_ref) = naive_cholesky(&a).unwrap_err();
+    assert_eq!(pivot_ref, 80);
+    match Cholesky::factor(&a) {
+        Err(Error::NotPositiveDefinite { pivot, value }) => {
+            assert_eq!(pivot, pivot_ref);
+            assert_eq!(value.to_bits(), value_ref.to_bits());
+        }
+        other => panic!("expected the pivot-80 failure, got {other:?}"),
+    }
 }
 
 #[test]
