@@ -1,8 +1,9 @@
 use std::sync::Arc;
 
-use hyperpower_linalg::Matrix;
+use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
+use crate::regressor::{log_marginal_likelihood, JITTER_START, JITTER_TRIES};
 use crate::{Error, GpRegressor, Kernel, Result};
 
 /// Options for [`fit_gp_hyperparams`].
@@ -72,62 +73,66 @@ pub fn fit_gp_hyperparams(
             value: options.min_noise_variance,
         });
     }
-    // Data-driven initial guesses.
-    let median_dist = median_pairwise_distance(x).max(1e-3);
-    let y_var = variance(y).max(1e-6);
-    let init = [
-        median_dist.ln(),
-        y_var.ln(),
-        (0.01 * y_var).max(options.min_noise_variance).ln(),
-    ];
+    // Searched inside a block so the workspace is freed before the final
+    // fit allocates its own matrices.
+    let params = {
+        let mut workspace = LikelihoodWorkspace::new(x, y);
+        // Data-driven initial guesses.
+        let median_dist = workspace.median_distance().max(1e-3);
+        let y_var = variance(y).max(1e-6);
+        let init = [
+            median_dist.ln(),
+            y_var.ln(),
+            (0.01 * y_var).max(options.min_noise_variance).ln(),
+        ];
 
-    let objective = |p: &[f64]| -> f64 {
-        let length_scale = p[0].exp();
-        let signal_variance = p[1].exp();
-        let noise_variance = p[2].exp().max(options.min_noise_variance);
-        if !(length_scale.is_finite() && signal_variance.is_finite() && noise_variance.is_finite())
-        {
-            return f64::INFINITY;
-        }
-        let kernel = base_kernel.with_length_scale(length_scale);
-        match GpRegressor::fit(kernel, signal_variance, noise_variance, x, y) {
-            Ok(gp) => -gp.log_marginal_likelihood(),
-            Err(_) => f64::INFINITY,
-        }
-    };
-
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for restart in 0..options.restarts.max(1) {
-        // Deterministic perturbations: restart 0 is the heuristic seed,
-        // later restarts are offset in alternating directions.
-        let offset = match restart {
-            0 => [0.0, 0.0, 0.0],
-            1 => [1.0, 0.5, 1.5],
-            2 => [-1.0, -0.5, -1.5],
-            r => {
-                let s = r as f64;
-                [s * 0.7, -s * 0.3, s * 0.9]
+        let mut objective = |p: &[f64]| -> f64 {
+            let length_scale = p[0].exp();
+            let signal_variance = p[1].exp();
+            let noise_variance = p[2].exp().max(options.min_noise_variance);
+            if !(length_scale.is_finite()
+                && signal_variance.is_finite()
+                && noise_variance.is_finite())
+            {
+                return f64::INFINITY;
             }
+            let kernel = base_kernel.with_length_scale(length_scale);
+            workspace.neg_log_likelihood(kernel.as_ref(), signal_variance, noise_variance)
         };
-        let start: Vec<f64> = init.iter().zip(&offset).map(|(a, b)| a + b).collect();
-        let result = nelder_mead(
-            objective,
-            &start,
-            NelderMeadOptions {
-                max_evals: options.max_evals_per_restart,
-                ..Default::default()
-            },
-        );
-        if best.as_ref().is_none_or(|(_, f)| result.f < *f) {
-            best = Some((result.x, result.f));
-        }
-    }
 
-    // `restarts.max(1)` guarantees at least one entry; if every restart
-    // diverged (or none ran), fall back to the heuristic seed.
-    let params = match best {
-        Some((params, best_f)) if best_f.is_finite() => params,
-        _ => init.to_vec(),
+        let mut best: Option<(Vec<f64>, f64)> = None;
+        for restart in 0..options.restarts.max(1) {
+            // Deterministic perturbations: restart 0 is the heuristic seed,
+            // later restarts are offset in alternating directions.
+            let offset = match restart {
+                0 => [0.0, 0.0, 0.0],
+                1 => [1.0, 0.5, 1.5],
+                2 => [-1.0, -0.5, -1.5],
+                r => {
+                    let s = r as f64;
+                    [s * 0.7, -s * 0.3, s * 0.9]
+                }
+            };
+            let start: Vec<f64> = init.iter().zip(&offset).map(|(a, b)| a + b).collect();
+            let result = nelder_mead(
+                &mut objective,
+                &start,
+                NelderMeadOptions {
+                    max_evals: options.max_evals_per_restart,
+                    ..Default::default()
+                },
+            );
+            if best.as_ref().is_none_or(|(_, f)| result.f < *f) {
+                best = Some((result.x, result.f));
+            }
+        }
+
+        // `restarts.max(1)` guarantees at least one entry; if every restart
+        // diverged (or none ran), fall back to the heuristic seed.
+        match best {
+            Some((params, best_f)) if best_f.is_finite() => params,
+            _ => init.to_vec(),
+        }
     };
     let length_scale = params[0].exp();
     let signal_variance = params[1].exp();
@@ -199,19 +204,139 @@ pub fn fit_gp_hyperparams_laddered(
     last
 }
 
-fn median_pairwise_distance(x: &Matrix) -> f64 {
-    let n = x.rows();
-    if n < 2 {
-        return 1.0;
-    }
-    let mut dists = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in 0..i {
-            dists.push(hyperpower_linalg::vector::squared_distance(x.row(i), x.row(j)).sqrt());
+/// What one fit's marginal-likelihood evaluations share: the pairwise
+/// squared distances, the centred targets, and scratch for the covariance
+/// factor and the solve, reused by every evaluation.
+///
+/// [`LikelihoodWorkspace::neg_log_likelihood`] is `−GpRegressor::fit(..)
+/// .log_marginal_likelihood()`, or `+∞` where that fit fails, bit for bit:
+/// the kernel values come from the same squared distances through
+/// [`Kernel::eval_sq_dist`], the covariance and its jittered retries add
+/// in the same order, and the factorization, solves and log-determinant
+/// run the same operation sequences on a reused buffer.
+#[derive(Debug)]
+struct LikelihoodWorkspace {
+    n: usize,
+    /// `‖xᵢ − xⱼ‖²` for `j ≤ i`, the lower triangle packed row by row.
+    d2: Vec<f64>,
+    /// Targets minus their mean; `None` if the data fail a check of
+    /// [`GpRegressor::fit`] (no rows, a length mismatch or a non-finite
+    /// target), which makes every evaluation score `+∞`.
+    y_centered: Option<Vec<f64>>,
+    /// n×n row-major; its lower triangle holds the covariance, then `L`.
+    factor: Vec<f64>,
+    alpha: Vec<f64>,
+    log_pivots: Vec<f64>,
+}
+
+impl LikelihoodWorkspace {
+    fn new(x: &Matrix, y: &[f64]) -> Self {
+        let n = x.rows();
+        let mut d2 = Vec::with_capacity(n * (n + 1) / 2);
+        for i in 0..n {
+            for j in 0..=i {
+                d2.push(vector::squared_distance(x.row(i), x.row(j)));
+            }
+        }
+        let y_centered = (n > 0 && y.len() == n && y.iter().all(|v| v.is_finite())).then(|| {
+            let y_mean = y.iter().sum::<f64>() / n as f64;
+            y.iter().map(|v| v - y_mean).collect()
+        });
+        LikelihoodWorkspace {
+            n,
+            d2,
+            y_centered,
+            factor: vec![0.0; n * n],
+            alpha: vec![0.0; n],
+            log_pivots: vec![0.0; n],
         }
     }
-    dists.sort_by(f64::total_cmp);
-    dists[dists.len() / 2]
+
+    /// Median of the pairwise distances `√d2` over `j < i` (1.0 below two
+    /// rows): the seed for the length scale.
+    fn median_distance(&self) -> f64 {
+        if self.n < 2 {
+            return 1.0;
+        }
+        let mut dists = Vec::with_capacity(self.n * (self.n - 1) / 2);
+        let mut start = 0;
+        for i in 0..self.n {
+            dists.extend(self.d2[start..start + i].iter().map(|d2| d2.sqrt()));
+            start += i + 1;
+        }
+        dists.sort_by(f64::total_cmp);
+        dists[dists.len() / 2]
+    }
+
+    /// Negative log marginal likelihood under `kernel`, `signal_variance`
+    /// and `noise_variance`; `+∞` wherever [`GpRegressor::fit`] would fail.
+    fn neg_log_likelihood(
+        &mut self,
+        kernel: &dyn Kernel,
+        signal_variance: f64,
+        noise_variance: f64,
+    ) -> f64 {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        if self.y_centered.is_none()
+            || !positive(signal_variance)
+            || !positive(noise_variance)
+            || !self.factor_covariance(kernel, signal_variance, noise_variance)
+        {
+            return f64::INFINITY;
+        }
+        let Some(y_centered) = &self.y_centered else {
+            return f64::INFINITY;
+        };
+        self.alpha.copy_from_slice(y_centered);
+        if Cholesky::solve_in_place(&self.factor, self.n, &mut self.alpha).is_err() {
+            return f64::INFINITY;
+        }
+        hyperpower_linalg::debug_assert_finite!("gp fit alpha", &self.alpha);
+        for (i, lp) in self.log_pivots.iter_mut().enumerate() {
+            *lp = self.factor[i * self.n + i].ln();
+        }
+        let log_det = vector::sum_ordered(&self.log_pivots) * 2.0;
+        -log_marginal_likelihood(y_centered, &self.alpha, log_det)
+    }
+
+    /// Factors `σf²·K + σn²·I` in place, escalating diagonal jitter exactly
+    /// as [`Cholesky::factor_with_jitter`] does inside [`GpRegressor::fit`].
+    /// Returns whether some attempt succeeded.
+    fn factor_covariance(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64) -> bool {
+        self.build_covariance(kernel, sv, nv, None);
+        match Cholesky::factor_in_place(&mut self.factor, self.n) {
+            Ok(()) => return true,
+            Err(hyperpower_linalg::Error::NotPositiveDefinite { .. }) => {}
+            Err(_) => return false,
+        }
+        let mut jitter = JITTER_START;
+        for _ in 0..JITTER_TRIES {
+            self.build_covariance(kernel, sv, nv, Some(jitter));
+            if Cholesky::factor_in_place(&mut self.factor, self.n).is_ok() {
+                return true;
+            }
+            jitter *= 10.0;
+        }
+        false
+    }
+
+    /// Writes the lower triangle of `σf²·K + σn²·I (+ jitter·I)` into the
+    /// factor buffer, adding as `GpRegressor::fit` does:
+    /// `(k·σf² + σn²) + jitter` on the diagonal.
+    fn build_covariance(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64, jitter: Option<f64>) {
+        let mut start = 0;
+        for (i, row) in self.factor.chunks_exact_mut(self.n).enumerate() {
+            let d2 = &self.d2[start..=start + i];
+            start += i + 1;
+            for (v, &d) in row.iter_mut().zip(d2) {
+                *v = kernel.eval_sq_dist(d) * sv;
+            }
+            row[i] += nv;
+            if let Some(jitter) = jitter {
+                row[i] += jitter;
+            }
+        }
+    }
 }
 
 fn variance(y: &[f64]) -> f64 {
@@ -332,6 +457,46 @@ mod tests {
         let laddered =
             fit_gp_hyperparams_laddered(Matern52::new(1.0).into_kernel(), &x, &y, options, 2);
         assert!(laddered.is_err());
+    }
+
+    #[test]
+    fn workspace_scores_as_the_regressor_through_jitter_and_failure() {
+        // Rows 0/1 and 2/3 coincide, so the covariance is singular up to
+        // the noise: tiny noise needs jitter, and a huge signal variance
+        // swamps even the largest jitter. At (0.1, 3e-18) the jittered
+        // diagonal rounds differently unless it adds `(k·σf² + σn²) +
+        // jitter` in that order.
+        let x =
+            Matrix::from_vec(5, 2, vec![0.1, 0.2, 0.1, 0.2, 0.7, 0.4, 0.7, 0.4, 0.3, 0.9]).unwrap();
+        let y = [0.2, 0.3, -0.1, 0.0, 0.5];
+        let mut workspace = LikelihoodWorkspace::new(&x, &y);
+        let kernel = Matern52::new(0.5);
+        let (mut jittered, mut failed) = (0, 0);
+        for (sv, nv) in [
+            (1.0, 1e-3),
+            (1.0, 1e-300),
+            (2.5, 1e-14),
+            (0.1, 3e-18),
+            (1e20, 1e-300),
+            (1.0, 0.0),
+        ] {
+            let mut cov = kernel.matrix(&x).scale(sv);
+            cov.add_diagonal(nv);
+            let expected = match GpRegressor::fit(kernel.into_kernel(), sv, nv, &x, &y) {
+                Ok(gp) => {
+                    jittered += usize::from(Cholesky::factor(&cov).is_err());
+                    -gp.log_marginal_likelihood()
+                }
+                Err(_) => {
+                    failed += 1;
+                    f64::INFINITY
+                }
+            };
+            let actual = workspace.neg_log_likelihood(&kernel, sv, nv);
+            assert_eq!(actual.to_bits(), expected.to_bits(), "sv {sv} nv {nv}");
+        }
+        assert!(jittered > 0, "no case needed jitter");
+        assert!(failed >= 2, "the failure cases did not fail");
     }
 
     #[test]

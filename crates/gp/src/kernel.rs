@@ -19,12 +19,22 @@ use crate::{Error, Result};
 /// The trait is object-safe so that searchers can hold a
 /// `Arc<dyn Kernel>` chosen at runtime.
 pub trait Kernel: Debug + Send + Sync {
+    /// Evaluates the kernel at squared distance `d2 = ‖a − b‖²`.
+    ///
+    /// This is each kernel's one formula: [`Kernel::eval`] and everything
+    /// built on it go through here, so a caller holding precomputed
+    /// squared distances (the hyper-parameter fit) gets bit-identical
+    /// values.
+    fn eval_sq_dist(&self, d2: f64) -> f64;
+
     /// Evaluates `k(a, b)`.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `a.len() != b.len()`.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
+    /// Panics if `a.len() != b.len()`.
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_sq_dist(vector::squared_distance(a, b))
+    }
 
     /// The kernel's characteristic length scale.
     fn length_scale(&self) -> f64;
@@ -118,8 +128,7 @@ impl SquaredExponential {
 }
 
 impl Kernel for SquaredExponential {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = vector::squared_distance(a, b);
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
         (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
     }
 
@@ -186,8 +195,8 @@ impl Matern52 {
 }
 
 impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = vector::squared_distance(a, b).sqrt();
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
+        let r = d2.sqrt();
         let s = 5.0_f64.sqrt() * r / self.length_scale;
         (1.0 + s + s * s / 3.0) * (-s).exp()
     }

@@ -4,6 +4,20 @@ use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::{Error, Kernel, Result};
 
+/// First diagonal jitter tried when the covariance matrix will not factor.
+pub(crate) const JITTER_START: f64 = 1e-10;
+
+/// How many ×10 jitter escalations a fit tries before it gives up.
+pub(crate) const JITTER_TRIES: usize = 10;
+
+/// `log p(y|X) = −½ yᵀα − ½ log|K| − n/2 log 2π` for centred targets `y`
+/// and `α = K⁻¹y`.
+pub(crate) fn log_marginal_likelihood(y_centered: &[f64], alpha: &[f64], log_det: f64) -> f64 {
+    -0.5 * vector::dot(y_centered, alpha)
+        - 0.5 * log_det
+        - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln()
+}
+
 /// Posterior prediction of a Gaussian process at one query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
@@ -115,14 +129,10 @@ impl GpRegressor {
 
         let mut cov = kernel.matrix(x_train).scale(signal_variance);
         cov.add_diagonal(noise_variance);
-        let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, 1e-10, 10)?;
+        let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, JITTER_START, JITTER_TRIES)?;
         let alpha = chol.solve(&y_centered)?;
         hyperpower_linalg::debug_assert_finite!("gp fit alpha", &alpha);
-
-        // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
-        let log_marginal_likelihood = -0.5 * vector::dot(&y_centered, &alpha)
-            - 0.5 * chol.log_det()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let log_marginal_likelihood = log_marginal_likelihood(&y_centered, &alpha, chol.log_det());
 
         Ok(GpRegressor {
             kernel,

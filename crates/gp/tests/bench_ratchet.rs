@@ -1,21 +1,31 @@
-//! Speedup ratchet for batched GP acquisition scoring.
+//! Speedup ratchets for the GP hot paths.
 //!
-//! `BENCH_gp.json` at the workspace root commits the facts about the
-//! `benches/gp_batch.rs` workload — the corpus checksums (same seeded
-//! corpus as the bench, so the committed numbers always describe the same
-//! bits), the reference timings, and a *relative* floor: scoring the
-//! candidate grid through `posterior_batch` in blocks must stay at least
-//! `batch_speedup_floor`× faster than the per-point `predict` loop it
-//! replaced, measured side by side on whatever machine runs the test. The
-//! speedup only counts because the outputs are bit-identical — that part
-//! is asserted here too, on the full grid.
+//! `BENCH_gp.json` at the workspace root commits the facts about two
+//! workloads — the corpus checksums (same seeded corpus as the bench, so
+//! the committed numbers always describe the same bits), the reference
+//! timings, and a *relative* floor for each, re-measured side by side on
+//! whatever machine runs the test:
+//!
+//! * acquisition scoring (`benches/gp_batch.rs`): `posterior_batch` over
+//!   blocks must stay at least `batch_speedup_floor`× faster than the
+//!   per-point `predict` loop it replaced;
+//! * the hyper-parameter fit: `fit_gp_hyperparams_laddered` with the
+//!   searcher's options must stay at least `fit_speedup_floor`× faster than
+//!   the frozen oracle in `tests/common/mod.rs`, which scores every
+//!   Nelder–Mead step with a full `GpRegressor::fit`.
+//!
+//! A speedup only counts because the outputs are bit-identical — that part
+//! is asserted here too.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
+mod common;
+
 use std::time::Instant;
 
-use hyperpower_gp::{GpRegressor, Matern52};
+use common::{assert_fits_bit_equal, oracle_fit_laddered};
+use hyperpower_gp::{fit_gp_hyperparams_laddered, FitOptions, GpRegressor, Matern52};
 use hyperpower_linalg::{corpus, Matrix};
 
 const BENCH_FILE: &str = "BENCH_gp.json";
@@ -151,5 +161,44 @@ fn batched_scoring_keeps_committed_speedup_over_pointwise() {
         speedup >= floor,
         "batched acquisition speedup regressed: {speedup:.2}x < committed \
          floor {floor}x ({BENCH_FILE})"
+    );
+}
+
+#[test]
+fn likelihood_workspace_fit_keeps_committed_speedup_over_oracle() {
+    let text = bench_text();
+    let floor = committed("fit_speedup_floor", &text);
+    let n = committed("fit_n", &text) as usize;
+    let dims = committed("fit_dims", &text) as usize;
+    let x = corpus::dense(0x6704, n, dims);
+    let y = corpus::vector(0x6705, n);
+    assert_eq!(
+        f64::from(corpus::checksum(&x)),
+        committed("checksum_fit_train", &text),
+        "seeded fit corpus changed bits: refresh {BENCH_FILE}"
+    );
+    // The searcher's settings (`hyperpower::methods`).
+    let options = FitOptions {
+        restarts: 2,
+        max_evals_per_restart: 80,
+        min_noise_variance: 1e-6,
+    };
+    let fit = || fit_gp_hyperparams_laddered(Matern52::new(0.5).into_kernel(), &x, &y, options, 2);
+    let oracle = || oracle_fit_laddered(Matern52::new(0.5).into_kernel(), &x, &y, options, 2);
+
+    // Bit-equality first: the speedup only counts for identical fits.
+    assert_fits_bit_equal("fit corpus", &oracle(), &fit());
+
+    let oracle_secs = best_secs(2, oracle);
+    let fit_secs = best_secs(2, fit);
+    let speedup = oracle_secs / fit_secs;
+    eprintln!(
+        "gp fit n={n} d={dims}: oracle {oracle_secs:.4}s, workspace {fit_secs:.4}s, \
+         speedup {speedup:.2}x (floor {floor}x)"
+    );
+    assert!(
+        speedup >= floor,
+        "hyper-parameter fit speedup regressed: {speedup:.2}x < committed floor \
+         {floor}x ({BENCH_FILE})"
     );
 }
