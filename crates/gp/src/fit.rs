@@ -78,7 +78,7 @@ pub fn fit_gp_hyperparams(
     let params = {
         let mut workspace = LikelihoodWorkspace::new(x, y);
         // Data-driven initial guesses.
-        let median_dist = workspace.median_distance().max(1e-3);
+        let median_dist = workspace.covariance.median_distance().max(1e-3);
         let y_var = variance(y).max(1e-6);
         let init = [
             median_dist.ln(),
@@ -216,17 +216,24 @@ pub fn fit_gp_hyperparams_laddered(
 /// run the same operation sequences on a reused buffer.
 #[derive(Debug)]
 struct LikelihoodWorkspace {
-    n: usize,
-    /// `‖xᵢ − xⱼ‖²` for `j ≤ i`, the lower triangle packed row by row.
-    d2: Vec<f64>,
+    covariance: PackedCovariance,
     /// Targets minus their mean; `None` if the data fail a check of
     /// [`GpRegressor::fit`] (no rows, a length mismatch or a non-finite
     /// target), which makes every evaluation score `+∞`.
     y_centered: Option<Vec<f64>>,
-    /// n×n row-major; its lower triangle holds the covariance, then `L`.
-    factor: Vec<f64>,
     alpha: Vec<f64>,
     log_pivots: Vec<f64>,
+}
+
+/// The pairwise squared distances of one fit's inputs, and the buffer
+/// their covariance is built and factored in.
+#[derive(Debug)]
+struct PackedCovariance {
+    n: usize,
+    /// `‖xᵢ − xⱼ‖²` for `j ≤ i`, the lower triangle packed row by row.
+    d2: Vec<f64>,
+    /// n×n row-major; its lower triangle holds the covariance, then `L`.
+    factor: Vec<f64>,
 }
 
 impl LikelihoodWorkspace {
@@ -243,15 +250,50 @@ impl LikelihoodWorkspace {
             y.iter().map(|v| v - y_mean).collect()
         });
         LikelihoodWorkspace {
-            n,
-            d2,
+            covariance: PackedCovariance {
+                n,
+                d2,
+                factor: vec![0.0; n * n],
+            },
             y_centered,
-            factor: vec![0.0; n * n],
             alpha: vec![0.0; n],
             log_pivots: vec![0.0; n],
         }
     }
 
+    /// Negative log marginal likelihood under `kernel`, `signal_variance`
+    /// and `noise_variance`; `+∞` wherever [`GpRegressor::fit`] would fail.
+    fn neg_log_likelihood(
+        &mut self,
+        kernel: &dyn Kernel,
+        signal_variance: f64,
+        noise_variance: f64,
+    ) -> f64 {
+        let Some(y_centered) = &self.y_centered else {
+            return f64::INFINITY;
+        };
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let covariance = &mut self.covariance;
+        if !positive(signal_variance)
+            || !positive(noise_variance)
+            || !covariance.factorize(kernel, signal_variance, noise_variance)
+        {
+            return f64::INFINITY;
+        }
+        self.alpha.copy_from_slice(y_centered);
+        if Cholesky::solve_in_place(&covariance.factor, covariance.n, &mut self.alpha).is_err() {
+            return f64::INFINITY;
+        }
+        hyperpower_linalg::debug_assert_finite!("gp fit alpha", &self.alpha);
+        for (i, lp) in self.log_pivots.iter_mut().enumerate() {
+            *lp = covariance.factor[i * covariance.n + i].ln();
+        }
+        let log_det = vector::sum_ordered(&self.log_pivots) * 2.0;
+        -log_marginal_likelihood(y_centered, &self.alpha, log_det)
+    }
+}
+
+impl PackedCovariance {
     /// Median of the pairwise distances `√d2` over `j < i` (1.0 below two
     /// rows): the seed for the length scale.
     fn median_distance(&self) -> f64 {
@@ -268,42 +310,11 @@ impl LikelihoodWorkspace {
         dists[dists.len() / 2]
     }
 
-    /// Negative log marginal likelihood under `kernel`, `signal_variance`
-    /// and `noise_variance`; `+∞` wherever [`GpRegressor::fit`] would fail.
-    fn neg_log_likelihood(
-        &mut self,
-        kernel: &dyn Kernel,
-        signal_variance: f64,
-        noise_variance: f64,
-    ) -> f64 {
-        let positive = |v: f64| v.is_finite() && v > 0.0;
-        if self.y_centered.is_none()
-            || !positive(signal_variance)
-            || !positive(noise_variance)
-            || !self.factor_covariance(kernel, signal_variance, noise_variance)
-        {
-            return f64::INFINITY;
-        }
-        let Some(y_centered) = &self.y_centered else {
-            return f64::INFINITY;
-        };
-        self.alpha.copy_from_slice(y_centered);
-        if Cholesky::solve_in_place(&self.factor, self.n, &mut self.alpha).is_err() {
-            return f64::INFINITY;
-        }
-        hyperpower_linalg::debug_assert_finite!("gp fit alpha", &self.alpha);
-        for (i, lp) in self.log_pivots.iter_mut().enumerate() {
-            *lp = self.factor[i * self.n + i].ln();
-        }
-        let log_det = vector::sum_ordered(&self.log_pivots) * 2.0;
-        -log_marginal_likelihood(y_centered, &self.alpha, log_det)
-    }
-
     /// Factors `σf²·K + σn²·I` in place, escalating diagonal jitter exactly
     /// as [`Cholesky::factor_with_jitter`] does inside [`GpRegressor::fit`].
     /// Returns whether some attempt succeeded.
-    fn factor_covariance(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64) -> bool {
-        self.build_covariance(kernel, sv, nv, None);
+    fn factorize(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64) -> bool {
+        self.build(kernel, sv, nv, None);
         match Cholesky::factor_in_place(&mut self.factor, self.n) {
             Ok(()) => return true,
             Err(hyperpower_linalg::Error::NotPositiveDefinite { .. }) => {}
@@ -311,7 +322,7 @@ impl LikelihoodWorkspace {
         }
         let mut jitter = JITTER_START;
         for _ in 0..JITTER_TRIES {
-            self.build_covariance(kernel, sv, nv, Some(jitter));
+            self.build(kernel, sv, nv, Some(jitter));
             if Cholesky::factor_in_place(&mut self.factor, self.n).is_ok() {
                 return true;
             }
@@ -323,7 +334,7 @@ impl LikelihoodWorkspace {
     /// Writes the lower triangle of `σf²·K + σn²·I (+ jitter·I)` into the
     /// factor buffer, adding as `GpRegressor::fit` does:
     /// `(k·σf² + σn²) + jitter` on the diagonal.
-    fn build_covariance(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64, jitter: Option<f64>) {
+    fn build(&mut self, kernel: &dyn Kernel, sv: f64, nv: f64, jitter: Option<f64>) {
         let mut start = 0;
         for (i, row) in self.factor.chunks_exact_mut(self.n).enumerate() {
             let d2 = &self.d2[start..=start + i];

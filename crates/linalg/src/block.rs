@@ -299,7 +299,7 @@ pub(crate) fn cholesky_factor(n: usize, l: &mut [f64]) -> Result<(), (usize, f64
     // update, and the source of its packed `b` tiles.
     let mut panel: Vec<f64> = Vec::new();
     let mut bp: Vec<f64> = Vec::new();
-    let mut tile: Vec<[f64; PS_R]> = Vec::with_capacity(PANEL);
+    let mut tile = [[0.0f64; PS_R]; PANEL];
     let mut k0 = 0;
     while k0 < n {
         let k1 = (k0 + PANEL).min(n);
@@ -330,13 +330,11 @@ pub(crate) fn cholesky_factor(n: usize, l: &mut [f64]) -> Result<(), (usize, f64
         for (t, prows) in panel.chunks_exact_mut(PS_R * kw).enumerate() {
             let i0 = k1 + t * PS_R;
             let ih = (n - i0).min(PS_R);
-            tile.clear();
-            tile.extend(
-                (k0..k1).map(|j| {
-                    core::array::from_fn(|r| if r < ih { l[(i0 + r) * n + j] } else { 0.0 })
-                }),
-            );
-            panel_solve_tile(n, k0, l, &mut tile);
+            let (tile, _) = tile.split_at_mut(kw);
+            for (col, j) in tile.iter_mut().zip(k0..k1) {
+                *col = core::array::from_fn(|r| if r < ih { l[(i0 + r) * n + j] } else { 0.0 });
+            }
+            panel_solve_tile(n, k0, l, tile);
             for (j, col) in tile.iter().enumerate() {
                 for (r, &v) in col.iter().enumerate() {
                     prows[r * kw + j] = v;
@@ -383,43 +381,21 @@ fn panel_solve_tile(n: usize, k0: usize, l: &[f64], tile: &mut [[f64; PS_R]]) {
     }
 }
 
-/// Full-tile trailing-update micro-kernel:
-/// `acc[r][c] −= arows[r][k] · bp[k·MM_N + c]` for every k, in increasing k.
-///
-/// The subtracting twin of [`tile_kernel_clean`], built the same way and
-/// for the same reason: zipped iterators leave no panic path, and
-/// `#[inline(never)]` lets LLVM keep the 4×8 tile in registers across the
-/// k-loop. The naive Cholesky has no `== 0.0` skip, so neither does this.
-#[inline(never)]
-fn tile_kernel_sub(arows: &[&[f64]; MM_R], bp: &[f64], acc: &mut [[f64; MM_N]; MM_R]) {
-    let [a0s, a1s, a2s, a3s] = *arows;
-    let [acc0, acc1, acc2, acc3] = acc;
-    for ((((brow, &a0), &a1), &a2), &a3) in
-        bp.chunks_exact(MM_N).zip(a0s).zip(a1s).zip(a2s).zip(a3s)
-    {
-        for (s, &bv) in acc0.iter_mut().zip(brow) {
-            *s -= a0 * bv;
-        }
-        for (s, &bv) in acc1.iter_mut().zip(brow) {
-            *s -= a1 * bv;
-        }
-        for (s, &bv) in acc2.iter_mut().zip(brow) {
-            *s -= a2 * bv;
-        }
-        for (s, &bv) in acc3.iter_mut().zip(brow) {
-            *s -= a3 * bv;
-        }
-    }
-}
-
 /// Rank-`kw` update of the trailing lower triangle (rows and columns
 /// `k1..n`), register-tiled.
 ///
 /// `panel` holds rows `k1..n` of the just-solved panel packed row-major
 /// (`kw` wide, zero rows padding it to a multiple of `PS_R`). It is the row
-/// operand as is; its rows, transposed into `kw`×`MM_N` tiles in `bp`, are
-/// the column operand. Packing copies f64 values bit-exactly, and padding
-/// lanes land only in accumulators that are never stored.
+/// operand as is; its rows, negated and transposed into `kw`×`MM_N` tiles
+/// in `bp`, are the column operand. Packing copies f64 values bit-exactly,
+/// and padding lanes land only in accumulators that are never stored.
+///
+/// [`tile_kernel_clean`] then adds `a·(−b)` where the naive loop subtracts
+/// `a·b`: `a·(−b)` is `−(a·b)` exactly, and `s + (−p)` is `s − p` (IEEE 754
+/// defines subtraction so), so each element keeps its operation sequence.
+/// Only a NaN's sign bit, which IEEE 754 leaves unspecified, may differ
+/// once a factor entry has overflowed. The naive Cholesky has no `== 0.0`
+/// skip, so the clean kernel is the right one.
 fn trailing_update(
     n: usize,
     k1: usize,
@@ -435,7 +411,7 @@ fn trailing_update(
     for (t, bt) in bp.chunks_exact_mut(kw * MM_N).enumerate() {
         for (c, prow) in panel.chunks_exact(kw).skip(t * MM_N).take(MM_N).enumerate() {
             for (k, &v) in prow.iter().enumerate() {
-                bt[k * MM_N + c] = v;
+                bt[k * MM_N + c] = -v;
             }
         }
     }
@@ -458,7 +434,7 @@ fn trailing_update(
                 let at = (k1 + i0 + r) * n + k1 + j0;
                 accr[..jw].copy_from_slice(&l[at..at + jw]);
             }
-            tile_kernel_sub(&arows, bt, &mut acc);
+            tile_kernel_clean(&arows, bt, &mut acc);
             for (r, accr) in acc.iter().enumerate().take(ih) {
                 let irow = i0 + r;
                 for (c, &v) in accr.iter().enumerate().take(jw) {
@@ -514,52 +490,6 @@ pub(crate) fn solve_lower_multi(n: usize, l: &[f64], nrhs: usize, y: &mut [f64])
             }
         }
         a0 = a1;
-    }
-}
-
-/// Forward substitution `L·y = b` for a single right-hand side, in place.
-///
-/// The per-element sequence of [`solve_lower_multi`] at `nrhs = 1` — start
-/// from `b[i]`, subtract `l[i,k]·y[k]` for k = 0..i in increasing order,
-/// divide by `l[i,i]` — with the running value held in a register: the
-/// multi-RHS kernel keeps it in memory, which at one RHS puts a store and a
-/// reload on every step of the dependency chain.
-pub(crate) fn solve_lower_single(n: usize, l: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
-    debug_assert_eq!(y.len(), n);
-    for (i, lrow) in l.chunks_exact(n.max(1)).enumerate() {
-        let (done, rest) = y.split_at_mut(i);
-        let (lik, diag) = lrow.split_at(i);
-        let (Some(yi), Some(&d)) = (rest.first_mut(), diag.first()) else {
-            return;
-        };
-        let mut sum = *yi;
-        for (&a, &yk) in lik.iter().zip(done.iter()) {
-            sum -= a * yk;
-        }
-        *yi = sum / d;
-    }
-}
-
-/// Backward substitution `Lᵀ·x = y` for a single right-hand side, in
-/// place, reading `L` by column: the per-element sequence of
-/// [`solve_lower_transpose_multi`] at `nrhs = 1`, with the running value
-/// held in a register (see [`solve_lower_single`]).
-pub(crate) fn solve_lower_transpose_single(n: usize, l: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
-    debug_assert_eq!(y.len(), n);
-    for i in (0..n).rev() {
-        let (head, xs) = y.split_at_mut(i + 1);
-        let Some(yi) = head.last_mut() else {
-            return;
-        };
-        let mut sum = *yi;
-        // Column i below the diagonal: l[i+1,i], l[i+2,i], …
-        let below = l.iter().skip((i + 1) * n + i).step_by(n);
-        for (&lki, &xk) in below.zip(xs.iter()) {
-            sum -= lki * xk;
-        }
-        *yi = sum / l[i * n + i];
     }
 }
 

@@ -44,7 +44,8 @@ impl Cholesky {
     /// # Errors
     ///
     /// * [`Error::NotSquare`] if `a` is not square.
-    /// * [`Error::NonFiniteInput`] if `a` contains NaN or infinity.
+    /// * [`Error::NonFiniteInput`] if the lower triangle of `a` contains NaN
+    ///   or infinity.
     /// * [`Error::NotPositiveDefinite`] if a non-positive pivot arises.
     pub fn factor(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
@@ -52,9 +53,6 @@ impl Cholesky {
                 rows: a.rows(),
                 cols: a.cols(),
             });
-        }
-        if !a.is_finite() {
-            return Err(Error::NonFiniteInput);
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -112,8 +110,8 @@ impl Cholesky {
     pub fn solve_in_place(factor: &[f64], n: usize, b: &mut [f64]) -> Result<()> {
         check_square_buffer(factor, n)?;
         check_rhs_len(b, n)?;
-        crate::block::solve_lower_single(n, factor, b);
-        crate::block::solve_lower_transpose_single(n, factor, b);
+        crate::block::solve_lower_multi(n, factor, 1, b);
+        crate::block::solve_lower_transpose_multi(n, factor, 1, b);
         Ok(())
     }
 
@@ -189,7 +187,7 @@ impl Cholesky {
         let n = self.dim();
         check_rhs_len(b, n)?;
         let mut y = b.to_vec();
-        crate::block::solve_lower_single(n, self.l.as_slice(), &mut y);
+        crate::block::solve_lower_multi(n, self.l.as_slice(), 1, &mut y);
         Ok(y)
     }
 
@@ -202,7 +200,7 @@ impl Cholesky {
         let n = self.dim();
         check_rhs_len(y, n)?;
         let mut x = y.to_vec();
-        crate::block::solve_lower_transpose_single(n, self.l.as_slice(), &mut x);
+        crate::block::solve_lower_transpose_multi(n, self.l.as_slice(), 1, &mut x);
         Ok(x)
     }
 
@@ -346,8 +344,16 @@ mod tests {
     #[test]
     fn non_finite_rejected() {
         let mut a = Matrix::identity(2);
-        a[(0, 1)] = f64::NAN;
+        a[(1, 0)] = f64::NAN;
         assert!(matches!(a.cholesky().unwrap_err(), Error::NonFiniteInput));
+    }
+
+    #[test]
+    fn upper_triangle_is_not_read() {
+        let mut a = Matrix::identity(2);
+        a[(0, 1)] = f64::NAN;
+        let chol = a.cholesky().unwrap();
+        assert_eq!(chol.factor_l(), &Matrix::identity(2));
     }
 
     #[test]

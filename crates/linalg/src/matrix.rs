@@ -313,8 +313,8 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns an error if the matrix is not square, contains non-finite
-    /// entries, or is not positive definite.
+    /// Returns an error if the matrix is not square, has a non-finite entry
+    /// in its lower triangle, or is not positive definite.
     pub fn cholesky(&self) -> Result<Cholesky> {
         Cholesky::factor(self)
     }

@@ -48,11 +48,13 @@ fn matrix_of(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(r, c, data).expect("sized to shape"))
 }
 
-/// Cholesky sizes: the tile and panel boundaries of [`dim_strategy`], plus
-/// sizes that cross three or more panels (PANEL = 32) and end in partial
-/// 8-row panel-solve tiles and partial 4×8 trailing-update tiles.
+/// Cholesky sizes: every size of [`dim_strategy`], plus sizes that cross
+/// three or more panels (PANEL = 32) and end in partial 8-row panel-solve
+/// tiles and partial 4×8 trailing-update tiles.
 fn cholesky_dim_strategy() -> impl Strategy<Value = usize> {
-    select(vec![1usize, 2, 3, 5, 8, 9, 31, 32, 33, 40, 65, 97, 131])
+    select(vec![
+        1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40, 65, 97, 131,
+    ])
 }
 
 /// SPD-ish strategy spanning well-conditioned to numerically indefinite:
@@ -74,24 +76,41 @@ fn spd_spectrum_of(dims: impl Strategy<Value = usize>) -> impl Strategy<Value = 
     })
 }
 
-/// [`spd_spectrum_of`] over [`cholesky_dim_strategy`], with one draw in
-/// three zeroing a diagonal entry in the second half of the matrix: the
-/// first bad pivot then lands in a later panel for the multi-panel sizes,
-/// after earlier panels' trailing updates have run.
-fn cholesky_strategy() -> impl Strategy<Value = Matrix> {
-    (
-        spd_spectrum_of(cholesky_dim_strategy()),
-        0u8..3,
-        0.5f64..1.0,
-    )
-        .prop_map(|(mut a, kind, at)| {
-            if kind == 0 {
-                let n = a.rows();
-                let p = ((n as f64 * at) as usize).min(n - 1);
-                a[(p, p)] = 0.0;
-            }
-            a
-        })
+/// [`spd_spectrum_of`] over [`cholesky_dim_strategy`], paired with a
+/// diagonal index in the second half of the matrix. Zeroing that entry
+/// makes the first bad pivot land in a later panel for the multi-panel
+/// sizes, after earlier panels' trailing updates have run.
+fn cholesky_strategy() -> impl Strategy<Value = (Matrix, usize)> {
+    (spd_spectrum_of(cholesky_dim_strategy()), 0.5f64..1.0).prop_map(|(a, at)| {
+        let n = a.rows();
+        let p = ((n as f64 * at) as usize).min(n - 1);
+        (a, p)
+    })
+}
+
+/// The blocked factor of `a` equals the naive one bit for bit, and so does
+/// its failure: the same first bad pivot with the same pivot value bits.
+fn assert_cholesky_bits_eq_naive(a: &Matrix) {
+    match (naive_cholesky(a), Cholesky::factor(a)) {
+        (Ok(l_ref), Ok(chol)) => {
+            assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
+        }
+        (Err((pivot_ref, value_ref)), Err(Error::NotPositiveDefinite { pivot, value })) => {
+            assert_eq!(pivot_ref, pivot, "first bad pivot index differs");
+            assert_eq!(
+                value_ref.to_bits(),
+                value.to_bits(),
+                "pivot value bits differ: naive {value_ref:?} vs blocked {value:?}"
+            );
+        }
+        (naive, blocked) => {
+            panic!(
+                "factorization outcomes diverged: naive ok={} vs blocked {:?}",
+                naive.is_ok(),
+                blocked.err()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -123,28 +142,17 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_bit_equals_naive_across_conditioning(a in cholesky_strategy()) {
-        match (naive_cholesky(&a), Cholesky::factor(&a)) {
-            (Ok(l_ref), Ok(chol)) => {
-                assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
-            }
-            (Err((pivot_ref, value_ref)), Err(Error::NotPositiveDefinite { pivot, value })) => {
-                prop_assert_eq!(pivot_ref, pivot, "first bad pivot index differs");
-                prop_assert_eq!(
-                    value_ref.to_bits(),
-                    value.to_bits(),
-                    "pivot value bits differ: naive {:?} vs blocked {:?}",
-                    value_ref,
-                    value
-                );
-            }
-            (naive, blocked) => {
-                panic!(
-                    "factorization outcomes diverged: naive ok={} vs blocked {:?}",
-                    naive.is_ok(),
-                    blocked.err()
-                );
-            }
+    fn cholesky_bit_equals_naive_across_conditioning(
+        // Two draws per case, so each of the 13 sizes of `dim_strategy`
+        // still gets more draws than when those were the only sizes.
+        draws in (cholesky_strategy(), cholesky_strategy())
+    ) {
+        let (first, second) = draws;
+        for (a, p) in [first, second] {
+            assert_cholesky_bits_eq_naive(&a);
+            let mut late_failure = a;
+            late_failure[(p, p)] = 0.0;
+            assert_cholesky_bits_eq_naive(&late_failure);
         }
     }
 
