@@ -250,7 +250,8 @@ impl Baseline {
     }
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
+/// The string value of `"key": "…"` on one line, unescaped.
+pub(crate) fn extract_str(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\": \"");
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
@@ -270,7 +271,8 @@ fn extract_str(line: &str, key: &str) -> Option<String> {
     None
 }
 
-fn extract_usize(line: &str, key: &str) -> Option<usize> {
+/// The integer value of `"key": N` on one line.
+pub(crate) fn extract_usize(line: &str, key: &str) -> Option<usize> {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat)? + pat.len();
     let digits: String = line[start..]
@@ -307,7 +309,7 @@ mod tests {
         let r = report(vec![
             finding(Rule::R6UnitDiscipline, "crates/a/src/lib.rs", 3),
             finding(Rule::R6UnitDiscipline, "crates/a/src/lib.rs", 9),
-            finding(Rule::R4PrintInLibrary, "crates/b/src/lib.rs", 1),
+            finding(Rule::R8RngThreading, "crates/b/src/lib.rs", 1),
         ]);
         let base = Baseline::from_report(&r);
         let parsed = Baseline::parse(&base.to_json()).unwrap();

@@ -2,9 +2,10 @@
 //!
 //! After every other rule has run, the analyzer knows, for each
 //! trace-affecting crate, whether the five determinism facts the
-//! reproduction depends on actually hold: no wall-clock flow (R1/R10),
-//! all RNG construction rooted (R8/R11), no unordered collections (R9),
-//! a panic-free commit path (R15), and checkpoint-header completeness
+//! reproduction depends on actually hold: no wall-clock flow
+//! (`clippy::disallowed_methods` and R10), all RNG construction rooted
+//! (R8/R11), no unordered collections (`clippy::disallowed_types`), a
+//! panic-free commit path (R15), and checkpoint-header completeness
 //! (R13). [`generate`] serialises that knowledge into a byte-deterministic
 //! `determinism-certificate.json`, committed at the repo root; [`check`]
 //! (rule R19) structurally compares the committed certificate against
@@ -19,11 +20,15 @@
 //! `proved-with-N-allowances` when markers absorbed would-be findings,
 //! and `refuted-by-N-findings` otherwise. Allowance counts are part of
 //! the certificate on purpose: adding an escape hatch on the commit path
-//! is a reviewable event, not a silent one.
+//! is a reviewable event, not a silent one. For a `clippy::<lint>` backing
+//! rule, each [`crate::lint_gate`] gap for the lint is a refutation and
+//! each live line silencing the lint is an allowance.
 
 use std::collections::BTreeMap;
 
-use crate::rules::finding_for_file;
+use crate::baseline::{extract_str, extract_usize};
+use crate::lint_gate::{self, Gap};
+use crate::rules::{finding_for_file, TRACE_CRATES};
 use crate::scan::SourceFile;
 use crate::{Finding, Rule};
 
@@ -33,15 +38,12 @@ pub const CERTIFICATE_FILE: &str = "determinism-certificate.json";
 /// Schema identifier for forward compatibility.
 pub const CERT_SCHEMA: &str = "hyperpower-determinism-certificate/v1";
 
-/// Trace-affecting crates the certificate covers (workspace-relative
-/// directory prefixes, no trailing slash).
-pub const CERT_CRATES: &[&str] = &["crates/core", "crates/gpu-sim", "crates/server"];
-
-/// The proved facts, in emission order, with their backing rules.
+/// The proved facts, in emission order, with their backing rules:
+/// analyzer rule ids, or `clippy::<lint>` for a lint in the gate.
 pub const FACTS: &[(&str, &[&str])] = &[
-    ("no-wall-clock-flow", &["R1", "R10"]),
+    ("no-wall-clock-flow", &["clippy::disallowed_methods", "R10"]),
     ("all-rng-rooted", &["R8", "R11"]),
-    ("no-unordered-collections", &["R9"]),
+    ("no-unordered-collections", &["clippy::disallowed_types"]),
     ("panic-free-commit-path", &["R15"]),
     ("header-complete", &["R13"]),
 ];
@@ -59,17 +61,17 @@ struct CrateFacts {
 type CertMap = BTreeMap<String, CrateFacts>;
 
 fn crate_of(rel_path: &str) -> Option<&'static str> {
-    CERT_CRATES
+    TRACE_CRATES
         .iter()
         .copied()
         .find(|c| rel_path.starts_with(&format!("{c}/")))
 }
 
-/// Computes the certificate content from the analyzed files and the
-/// findings of every rule that ran before R19.
-fn compute(files: &[SourceFile], findings: &[Finding]) -> CertMap {
+/// Computes the certificate content from the analyzed files, the
+/// findings of every rule that ran before R19 and the lint-gate gaps.
+fn compute(files: &[SourceFile], findings: &[Finding], gaps: &[Gap]) -> CertMap {
     let mut map = CertMap::new();
-    for &krate in CERT_CRATES {
+    for &krate in TRACE_CRATES {
         let crate_files: Vec<&SourceFile> = files
             .iter()
             .filter(|f| crate_of(&f.rel_path.to_string_lossy().replace('\\', "/")) == Some(krate))
@@ -79,11 +81,24 @@ fn compute(files: &[SourceFile], findings: &[Finding]) -> CertMap {
         }
         let mut statuses = BTreeMap::new();
         for &(fact, rules) in FACTS {
+            let lints: Vec<&str> = rules
+                .iter()
+                .filter_map(|r| r.strip_prefix("clippy::"))
+                .collect();
             let refutations = findings
                 .iter()
                 .filter(|f| rules.contains(&f.rule.id()) && crate_of(&f.file) == Some(krate))
+                .count()
+                + gaps
+                    .iter()
+                    .filter(|g| lints.contains(&g.lint.as_str()))
+                    .count();
+            let lint_allowances = crate_files
+                .iter()
+                .flat_map(|f| f.lines.iter().filter(|l| !l.in_test))
+                .filter(|l| lints.iter().any(|lint| lint_gate::silences(&l.code, lint)))
                 .count();
-            let allowances: usize = crate_files
+            let marker_allowances: usize = crate_files
                 .iter()
                 .map(|f| {
                     f.markers
@@ -96,6 +111,7 @@ fn compute(files: &[SourceFile], findings: &[Finding]) -> CertMap {
                         .count()
                 })
                 .sum();
+            let allowances = marker_allowances + lint_allowances;
             let status = if refutations > 0 {
                 format!("refuted-by-{refutations}-findings")
             } else if allowances > 0 {
@@ -120,8 +136,8 @@ fn compute(files: &[SourceFile], findings: &[Finding]) -> CertMap {
 /// no trace-affecting crate was scanned (nothing to certify). The output
 /// is byte-deterministic: fixed key order, fixed fact order, no
 /// timestamps.
-pub fn generate(files: &[SourceFile], findings: &[Finding]) -> Option<String> {
-    let map = compute(files, findings);
+pub fn generate(files: &[SourceFile], findings: &[Finding], gaps: &[Gap]) -> Option<String> {
+    let map = compute(files, findings, gaps);
     if map.is_empty() {
         return None;
     }
@@ -132,7 +148,7 @@ pub fn generate(files: &[SourceFile], findings: &[Finding]) -> Option<String> {
         crate::baseline::PROVENANCE
     ));
     out.push_str("  \"crates\": [\n");
-    let crates: Vec<_> = CERT_CRATES
+    let crates: Vec<_> = TRACE_CRATES
         .iter()
         .filter(|c| map.contains_key(**c))
         .collect();
@@ -208,9 +224,10 @@ pub fn check(
     committed: Option<&str>,
     files: &[SourceFile],
     findings_so_far: &[Finding],
+    gaps: &[Gap],
     findings: &mut Vec<Finding>,
 ) {
-    let analyzed = compute(files, findings_so_far);
+    let analyzed = compute(files, findings_so_far, gaps);
     if analyzed.is_empty() {
         return;
     }
@@ -283,23 +300,6 @@ pub fn check(
     }
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    rest.find('"').map(|end| rest[..end].to_string())
-}
-
-fn extract_usize(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,8 +325,8 @@ mod tests {
             file("crates/core/src/lib.rs", "pub fn f() {}\n"),
             file("crates/gp/src/lib.rs", "pub fn g() {}\n"),
         ];
-        let a = generate(&files, &[]).unwrap();
-        let b = generate(&files, &[]).unwrap();
+        let a = generate(&files, &[], &[]).unwrap();
+        let b = generate(&files, &[], &[]).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("\"crate\": \"crates/core\""));
         assert!(!a.contains("crates/gp"));
@@ -337,24 +337,51 @@ mod tests {
     fn findings_refute_the_backing_fact() {
         let files = vec![file("crates/core/src/lib.rs", "pub fn f() {}\n")];
         let findings = vec![
-            finding(Rule::R9UnorderedCollections, "crates/core/src/lib.rs"),
-            finding(Rule::R9UnorderedCollections, "crates/core/src/lib.rs"),
+            finding(Rule::R8RngThreading, "crates/core/src/lib.rs"),
+            finding(Rule::R11RngFlow, "crates/core/src/lib.rs"),
         ];
-        let cert = generate(&files, &findings).unwrap();
+        let cert = generate(&files, &findings, &[]).unwrap();
         assert!(cert.contains(
-            "\"fact\": \"no-unordered-collections\", \"rules\": [\"R9\"], \"status\": \"refuted-by-2-findings\""
+            "\"fact\": \"all-rng-rooted\", \"rules\": [\"R8\", \"R11\"], \"status\": \"refuted-by-2-findings\""
         ));
+    }
+
+    #[test]
+    fn clippy_backed_facts_follow_the_lint_gate_and_its_allows() {
+        let core = "#![allow(clippy::disallowed_types)]\n#![deny(clippy::disallowed_methods)]\n\
+                    #[cfg(test)]\nmod t {\n    #![allow(clippy::disallowed_methods)]\n}\n";
+        let files = vec![
+            file("crates/core/src/lib.rs", core),
+            file("crates/server/src/lib.rs", "pub fn g() {}\n"),
+        ];
+        let count = |gaps: &[Gap], rules: &str, status: &str| {
+            let cert = generate(&files, &[], gaps).unwrap();
+            cert.matches(&format!("\"rules\": [{rules}], \"status\": \"{status}\""))
+                .count()
+        };
+        let (clock, hash) = (
+            "\"clippy::disallowed_methods\", \"R10\"",
+            "\"clippy::disallowed_types\"",
+        );
+        // A live allow is an allowance; a deny and test code are not.
+        assert_eq!(count(&[], hash, "proved-with-1-allowances"), 1);
+        assert_eq!(count(&[], clock, "proved"), 2);
+        // Each gap refutes its fact in every crate: a deny line plus two
+        // banned methods, a deny line plus three banned types.
+        let gaps = lint_gate::gaps("", "");
+        assert_eq!(count(&gaps, clock, "refuted-by-3-findings"), 2);
+        assert_eq!(count(&gaps, hash, "refuted-by-4-findings"), 2);
     }
 
     #[test]
     fn used_allowances_are_counted() {
         let f = file(
             "crates/core/src/lib.rs",
-            "// analyze::allow(R9)\nuse std::collections::HashMap;\n",
+            "// analyze::allow(R15)\nlet x = v[i];\n",
         );
         // Simulate the rule consuming the marker.
-        assert!(f.line_allowed(2, "R9"));
-        let cert = generate(std::slice::from_ref(&f), &[]).unwrap();
+        assert!(f.line_allowed(2, "R15"));
+        let cert = generate(std::slice::from_ref(&f), &[], &[]).unwrap();
         assert!(
             cert.contains("\"status\": \"proved-with-1-allowances\""),
             "{cert}"
@@ -364,9 +391,9 @@ mod tests {
     #[test]
     fn roundtrip_matches_and_mutation_is_flagged() {
         let files = vec![file("crates/core/src/lib.rs", "pub fn f() {}\n")];
-        let cert = generate(&files, &[]).unwrap();
+        let cert = generate(&files, &[], &[]).unwrap();
         let mut out = Vec::new();
-        check(Some(&cert), &files, &[], &mut out);
+        check(Some(&cert), &files, &[], &[], &mut out);
         assert!(out.is_empty(), "{out:?}");
 
         let mutated = cert.replace(
@@ -374,7 +401,7 @@ mod tests {
             "\"fact\": \"panic-free-commit-path\", \"rules\": [\"R15\"], \"status\": \"refuted-by-1-findings\"",
         );
         let mut out = Vec::new();
-        check(Some(&mutated), &files, &[], &mut out);
+        check(Some(&mutated), &files, &[], &[], &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, Rule::R19DeterminismCertificate);
         assert!(out[0].message.contains("panic-free-commit-path"));
@@ -384,13 +411,13 @@ mod tests {
     fn missing_certificate_is_a_finding_only_when_trace_crates_present() {
         let trace = vec![file("crates/core/src/lib.rs", "pub fn f() {}\n")];
         let mut out = Vec::new();
-        check(None, &trace, &[], &mut out);
+        check(None, &trace, &[], &[], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("missing determinism certificate"));
 
         let lib_only = vec![file("crates/gp/src/lib.rs", "pub fn g() {}\n")];
         let mut out = Vec::new();
-        check(None, &lib_only, &[], &mut out);
+        check(None, &lib_only, &[], &[], &mut out);
         assert!(out.is_empty());
     }
 
@@ -400,10 +427,10 @@ mod tests {
             file("crates/core/src/lib.rs", "pub fn f() {}\n"),
             file("crates/gpu-sim/src/lib.rs", "pub fn g() {}\n"),
         ];
-        let cert = generate(&files, &[]).unwrap();
+        let cert = generate(&files, &[], &[]).unwrap();
         let core_only = vec![file("crates/core/src/lib.rs", "pub fn f() {}\n")];
         let mut out = Vec::new();
-        check(Some(&cert), &core_only, &[], &mut out);
+        check(Some(&cert), &core_only, &[], &[], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("crates/gpu-sim"));
     }

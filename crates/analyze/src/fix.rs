@@ -1,6 +1,6 @@
 //! `--fix`: mechanical, token-aware source rewrites.
 //!
-//! Four fix families are supported, all safe enough to apply blindly:
+//! Three fix families are supported, all safe enough to apply blindly:
 //!
 //! * **R6 unit suffixes** — a *non-`pub`* `name: f64` declaration whose
 //!   name is a physical quantity without a unit suffix is renamed to the
@@ -9,14 +9,6 @@
 //!   file. Public items are never renamed (their name is API surface
 //!   beyond this file), and a rename is skipped entirely when the target
 //!   name already occurs in the file.
-//! * **R9 ordered collections** — in trace-affecting crates, `HashMap` →
-//!   `BTreeMap` and `HashSet` → `BTreeSet`, every token in the file
-//!   (imports, types, constructors — test code included, so the file
-//!   still compiles as one unit). The rewrite is refused when it could
-//!   change semantics: any hash-only API call (`with_hasher`,
-//!   `raw_entry`, …) anywhere in the file, the BTree name already in
-//!   use, or an `allow(R9)` marker claiming the hash type is
-//!   intentional.
 //! * **allow-marker normalization** — `// analyze::allow(r4,R1, r1)`
 //!   becomes `// analyze::allow(R1, R4)` (uppercase, deduplicated,
 //!   sorted, canonical spacing), keeping the escape hatch greppable.
@@ -35,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{collections, stale_allow, units};
+use crate::rules::{stale_allow, units};
 use crate::scan::{rust_files, SourceFile};
 use crate::token::TokenKind;
 use crate::{Error, Result, Rule, LIBRARY_CRATES};
@@ -78,7 +70,7 @@ pub fn apply_fixes(root: &Path) -> Result<FixReport> {
             paths.push(path);
         }
     }
-    let _ = crate::analyze_files(&files, None);
+    let _ = crate::analyze_files(&files, None, &[], true);
 
     for ((path, text), file) in paths.iter().zip(&texts).zip(&files) {
         let mut stale: BTreeMap<usize, Vec<String>> = BTreeMap::new();
@@ -130,8 +122,8 @@ pub fn fix_source_with(
 ) -> FileFix {
     let (cleaned, allows_removed) = remove_stale_allow_ids(text, stale);
     // The rename/normalize pipeline runs on the cleaned text so line
-    // numbers, marker scans and the R9 allow check all see the source
-    // that will actually be written.
+    // numbers and marker scans see the source that will actually be
+    // written.
     let mut out = fix_pipeline(rel_path, &cleaned);
     out.allows_removed = allows_removed;
     if out.text.is_none() && cleaned != text {
@@ -233,43 +225,6 @@ fn fix_pipeline(rel_path: PathBuf, text: &str) -> FileFix {
             continue; // target name taken: renaming would shadow/collide
         }
         renames.insert(t.text.clone(), new_name);
-    }
-
-    // Pass 1b: R9 collection renames — whole-file, but only when at least
-    // one live (non-test, non-allowed) token would be a finding, and only
-    // when the rewrite is provably behavior-preserving for this file.
-    if collections::in_scope(&file.rel_path.to_string_lossy().replace('\\', "/")) {
-        // A hash-only API name blocks the rewrite only when it is plausibly
-        // invoked on the hash type: as a method call (receiver type is
-        // unknowable here, stay safe) or qualified by the hash type itself.
-        // `Vec::with_capacity` / `String::with_capacity` must not block.
-        let hash_api_used = toks.iter().enumerate().any(|(i, t)| {
-            t.kind == TokenKind::Ident
-                && collections::HASH_ONLY_APIS.contains(&t.text.as_str())
-                && ((i > 0 && toks[i - 1].is_punct("."))
-                    || (i >= 2
-                        && toks[i - 1].is_punct("::")
-                        && ["HashMap", "HashSet"]
-                            .iter()
-                            .any(|h| toks[i - 2].is_ident(h))))
-        });
-        let r9_allowed_anywhere = file
-            .lines
-            .iter()
-            .any(|l| l.allowed.contains(Rule::R9UnorderedCollections.id()));
-        if !hash_api_used && !r9_allowed_anywhere {
-            for (hash, btree) in [("HashMap", "BTreeMap"), ("HashSet", "BTreeSet")] {
-                let fires = toks.iter().any(|t| {
-                    t.is_ident(hash) && !file.token_exempt(t, Rule::R9UnorderedCollections.id())
-                });
-                let target_taken = toks
-                    .iter()
-                    .any(|t| t.kind == TokenKind::Ident && t.text == btree);
-                if fires && !target_taken {
-                    renames.insert(hash.to_string(), btree.to_string());
-                }
-            }
-        }
     }
 
     // Pass 2: apply renames at every token spelling a renamed identifier.
@@ -450,74 +405,6 @@ mod tests {
     fn test_code_is_not_rewritten() {
         let src = "#[cfg(test)]\nmod t {\n    fn f(power: f64) -> f64 { power }\n}\n";
         assert!(fix(src).text.is_none());
-    }
-
-    fn fix_core(text: &str) -> FileFix {
-        fix_source(PathBuf::from("crates/core/src/state.rs"), text)
-    }
-
-    #[test]
-    fn r9_rewrites_hash_to_btree_whole_file() {
-        let src = "use std::collections::HashMap;\n\
-             pub fn index() -> HashMap<u64, f64> {\n    HashMap::new()\n}\n\
-             #[cfg(test)]\nmod t {\n    use super::*;\n    #[test]\n    fn ok() { let _m: HashMap<u64, f64> = index(); }\n}\n";
-        let out = fix_core(src);
-        let fixed = out.text.unwrap();
-        assert!(!fixed.contains("HashMap"), "all tokens rewritten: {fixed}");
-        assert!(fixed.contains("use std::collections::BTreeMap;"));
-        assert!(fixed.contains("-> BTreeMap<u64, f64>"));
-        // Test code is rewritten too — the file must keep compiling.
-        assert!(fixed.contains("let _m: BTreeMap<u64, f64>"));
-    }
-
-    #[test]
-    fn r9_skips_files_outside_trace_crates() {
-        let src =
-            "use std::collections::HashMap;\npub fn f() -> HashMap<u64, u64> { HashMap::new() }\n";
-        assert!(fix_source(PathBuf::from("crates/data/src/lib.rs"), src)
-            .text
-            .is_none());
-    }
-
-    #[test]
-    fn r9_refuses_when_hash_only_api_used() {
-        let src = "use std::collections::HashMap;\n\
-             pub fn f() -> HashMap<u64, u64> {\n    HashMap::with_capacity(8)\n}\n";
-        assert!(fix_core(src).text.is_none());
-
-        let src = "use std::collections::HashMap;\n\
-             pub fn f(m: &mut HashMap<u64, u64>) -> usize {\n    m.capacity()\n}\n";
-        assert!(fix_core(src).text.is_none());
-    }
-
-    #[test]
-    fn r9_vec_with_capacity_does_not_block() {
-        let src = "use std::collections::HashMap;\n\
-             pub fn f() -> HashMap<u64, u64> {\n    let _v = Vec::<u8>::with_capacity(8);\n    HashMap::new()\n}\n";
-        let fixed = fix_core(src).text.unwrap();
-        assert!(fixed.contains("BTreeMap::new()"));
-        assert!(fixed.contains("Vec::<u8>::with_capacity"));
-    }
-
-    #[test]
-    fn r9_refuses_when_btree_name_already_present() {
-        let src = "use std::collections::{BTreeMap, HashMap};\n\
-             pub fn f(a: &BTreeMap<u64, u64>, b: &HashMap<u64, u64>) -> usize { a.len() + b.len() }\n";
-        assert!(fix_core(src).text.is_none());
-    }
-
-    #[test]
-    fn r9_respects_allow_marker() {
-        let src = "use std::collections::HashMap; // analyze::allow(R9)\n\
-             pub fn f() -> HashMap<u64, u64> { HashMap::new() }\n";
-        assert!(fix_core(src).text.is_none());
-    }
-
-    #[test]
-    fn r9_test_only_usage_is_not_a_trigger() {
-        let src = "pub fn f() {}\n\
-             #[cfg(test)]\nmod t {\n    use std::collections::HashMap;\n    #[test]\n    fn ok() { let _m: HashMap<u64, u64> = HashMap::new(); }\n}\n";
-        assert!(fix_core(src).text.is_none());
     }
 
     fn fix_stale(text: &str, stale: &[(usize, &str)]) -> FileFix {

@@ -1,23 +1,21 @@
 //! `hyperpower-analyze`: a dependency-light static-analysis pass enforcing
 //! the workspace's numerics and determinism invariants.
 //!
-//! Clippy's lint gate (see the root `Cargo.toml`) covers the generic
-//! hygiene rules — no unwraps in library code, no raw float equality the
-//! compiler can see, and so on. This crate covers the *project-specific*
+//! Clippy's lint gate (the root `Cargo.toml` deny set plus the banned
+//! paths in `clippy.toml`) covers what a type-resolved lint can express,
+//! including the retired rules R1 (clock reads), R2 (float equality), R4
+//! (prints) and R9 (`HashMap`/`HashSet`); [`lint_gate`] checks that the
+//! gate stays in place. This crate covers the *project-specific*
 //! invariants clippy cannot express:
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `R1` | no ambient entropy (`thread_rng`, `SystemTime`, …) in deterministic search paths |
-//! | `R2` | no raw `==`/`!=` against non-zero float literals, no `partial_cmp().unwrap()` on objectives |
 //! | `R3` | every public error enum is `#[non_exhaustive]` |
-//! | `R4` | no `println!`/`eprintln!`/`dbg!` in library crates (stdout is the cli's) |
 //! | `R5` | `debug_assert_finite!` guards present at declared numerical boundaries |
 //! | `R6` | `f64` physical quantities carry unit suffixes (`_w`, `_mb`, `_s`, `_j`) or typed newtypes; no mixed-unit arithmetic |
 //! | `R7` | acquisition paths evaluate the cheap hardware-constraint indicator before the expensive objective (HW-IECI/HW-CWEI) |
 //! | `R8` | RNGs are constructed only at declared seeded roots and threaded `&mut` elsewhere |
-//! | `R9` | no unordered collections (`HashMap`/`HashSet`) in trace-affecting crates |
-//! | `R10` | wall-clock reads unreachable from non-sink files (R1, interprocedurally) |
+//! | `R10` | wall-clock reads unreachable from non-sink files (interprocedural) |
 //! | `R11` | RNG minting unreachable from non-root files (R8, interprocedurally) |
 //! | `R12` | concurrency primitives confined to the executor boundary; trace writes confined to the commit path |
 //! | `R13` | every semantic `ExecutorOptions` knob appears in the `CheckpointHeader` run identity |
@@ -61,6 +59,7 @@ pub mod dataflow;
 pub mod fix;
 pub mod graph;
 pub mod index;
+pub mod lint_gate;
 pub mod rules;
 pub mod sarif;
 mod scan;
@@ -144,14 +143,8 @@ impl Severity {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
-    /// R1: ambient entropy / wall-clock time in deterministic search paths.
-    R1NondeterministicEntropy,
-    /// R2: raw float equality or `partial_cmp().unwrap()` on objectives.
-    R2RawFloatEq,
     /// R3: public error enum without `#[non_exhaustive]`.
     R3ErrorEnumExhaustive,
-    /// R4: print-family macro in a library crate.
-    R4PrintInLibrary,
     /// R5: declared numerical boundary missing its finiteness guard.
     R5MissingFiniteGuard,
     /// R6: `f64` physical quantity without a unit suffix, or arithmetic
@@ -162,9 +155,6 @@ pub enum Rule {
     R7ConstraintOrder,
     /// R8: RNG constructed or owned outside a declared seeded root.
     R8RngThreading,
-    /// R9: unordered collection (`HashMap`/`HashSet`) in a
-    /// trace-affecting crate.
-    R9UnorderedCollections,
     /// R10: call path from a non-sink file into a wall-clock read.
     R10WallClockFlow,
     /// R11: call path from a non-root file into an RNG-minting function.
@@ -195,17 +185,15 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// All rule kinds, in id order.
-    pub const ALL: [Rule; 19] = [
-        Rule::R1NondeterministicEntropy,
-        Rule::R2RawFloatEq,
+    /// All rule kinds, in id order. The ids R1, R2, R4 and R9 are retired
+    /// (clippy enforces them, see [`lint_gate`]); an allow marker naming
+    /// one is an unknown-rule R16 finding.
+    pub const ALL: [Rule; 15] = [
         Rule::R3ErrorEnumExhaustive,
-        Rule::R4PrintInLibrary,
         Rule::R5MissingFiniteGuard,
         Rule::R6UnitDiscipline,
         Rule::R7ConstraintOrder,
         Rule::R8RngThreading,
-        Rule::R9UnorderedCollections,
         Rule::R10WallClockFlow,
         Rule::R11RngFlow,
         Rule::R12ConcurrencyBoundary,
@@ -221,15 +209,11 @@ impl Rule {
     /// Short id used in reports and `analyze::allow(..)` markers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::R1NondeterministicEntropy => "R1",
-            Rule::R2RawFloatEq => "R2",
             Rule::R3ErrorEnumExhaustive => "R3",
-            Rule::R4PrintInLibrary => "R4",
             Rule::R5MissingFiniteGuard => "R5",
             Rule::R6UnitDiscipline => "R6",
             Rule::R7ConstraintOrder => "R7",
             Rule::R8RngThreading => "R8",
-            Rule::R9UnorderedCollections => "R9",
             Rule::R10WallClockFlow => "R10",
             Rule::R11RngFlow => "R11",
             Rule::R12ConcurrencyBoundary => "R12",
@@ -251,15 +235,11 @@ impl Rule {
     /// Human-readable slug.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::R1NondeterministicEntropy => "nondeterministic-entropy",
-            Rule::R2RawFloatEq => "raw-float-eq",
             Rule::R3ErrorEnumExhaustive => "error-enum-exhaustive",
-            Rule::R4PrintInLibrary => "print-in-library",
             Rule::R5MissingFiniteGuard => "missing-finite-guard",
             Rule::R6UnitDiscipline => "unit-of-measure",
             Rule::R7ConstraintOrder => "constraint-before-objective",
             Rule::R8RngThreading => "rng-threading",
-            Rule::R9UnorderedCollections => "unordered-collections",
             Rule::R10WallClockFlow => "wall-clock-flow",
             Rule::R11RngFlow => "rng-flow",
             Rule::R12ConcurrencyBoundary => "concurrency-boundary",
@@ -291,14 +271,7 @@ impl Rule {
     /// One-line description of the invariant the rule protects.
     pub fn description(self) -> &'static str {
         match self {
-            Rule::R1NondeterministicEntropy => {
-                "search paths must draw randomness only from explicitly seeded RNGs"
-            }
-            Rule::R2RawFloatEq => {
-                "objective/constraint floats are ordered with total_cmp, never raw == or panicking partial_cmp"
-            }
             Rule::R3ErrorEnumExhaustive => "public error enums stay extensible via #[non_exhaustive]",
-            Rule::R4PrintInLibrary => "library crates never write to stdout/stderr",
             Rule::R5MissingFiniteGuard => {
                 "numerical boundaries carry debug_assert_finite! guards against NaN/Inf"
             }
@@ -310,9 +283,6 @@ impl Rule {
             }
             Rule::R8RngThreading => {
                 "RNGs are constructed only at declared seeded roots and passed &mut everywhere else"
-            }
-            Rule::R9UnorderedCollections => {
-                "trace-affecting crates use ordered collections (BTreeMap/BTreeSet), never randomized-iteration hash types"
             }
             Rule::R10WallClockFlow => {
                 "no call path from deterministic code into wall-clock reads outside declared timing sinks"
@@ -449,7 +419,8 @@ pub fn analyze_workspace(root: &Path) -> Result<Report> {
 pub fn analyze_workspace_with(root: &Path, include_self: bool) -> Result<Report> {
     let files = load_workspace_files(root, include_self)?;
     let committed = std::fs::read_to_string(root.join(certificate::CERTIFICATE_FILE)).ok();
-    Ok(analyze_files(&files, committed.as_deref()))
+    let gaps = lint_gate::workspace_gaps(root);
+    Ok(analyze_files(&files, committed.as_deref(), &gaps, true))
 }
 
 /// Generates the determinism certificate for the workspace at `root`
@@ -458,7 +429,8 @@ pub fn analyze_workspace_with(root: &Path, include_self: bool) -> Result<Report>
 pub fn generate_certificate(root: &Path) -> Result<Option<String>> {
     let files = load_workspace_files(root, false)?;
     let findings = pre_certificate_findings(&files);
-    Ok(certificate::generate(&files, &findings))
+    let gaps = lint_gate::workspace_gaps(root);
+    Ok(certificate::generate(&files, &findings, &gaps))
 }
 
 fn load_workspace_files(root: &Path, include_self: bool) -> Result<Vec<SourceFile>> {
@@ -489,6 +461,9 @@ fn load_workspace_files(root: &Path, include_self: bool) -> Result<Vec<SourceFil
 /// deliberately. A source whose path is `determinism-certificate.json`
 /// is not scanned as code — it plays the committed certificate, enabling
 /// R19 (without one, R19 stays off so corpora need no certificate).
+/// In-memory sources carry no manifests, so the certificate's
+/// clippy-backed facts are judged on allow attributes alone, as if the
+/// lint gate were complete.
 pub fn analyze_sources(sources: &[(&str, &str)]) -> Report {
     let committed = sources
         .iter()
@@ -499,10 +474,11 @@ pub fn analyze_sources(sources: &[(&str, &str)]) -> Report {
         .filter(|(path, _)| *path != certificate::CERTIFICATE_FILE)
         .map(|(path, text)| SourceFile::from_source(PathBuf::from(path), text))
         .collect();
-    analyze_files_inner(&files, committed, committed.is_some())
+    analyze_files(&files, committed, &[], committed.is_some())
 }
 
-/// Every rule that runs before the certificate layer (R1–R15, R17, R18):
+/// Every rule that runs before the certificate layer (R3, R5–R8, R10–R15,
+/// R17, R18):
 /// the per-file rules, R5 guard sites, the symbol-graph rules, and the
 /// flow-sensitive rules.
 fn pre_certificate_findings(files: &[SourceFile]) -> Vec<Finding> {
@@ -526,14 +502,12 @@ fn pre_certificate_findings(files: &[SourceFile]) -> Vec<Finding> {
 }
 
 /// All analysis phases over already-scanned files. `committed_cert` is
-/// the committed determinism certificate, if one exists on disk.
-fn analyze_files(files: &[SourceFile], committed_cert: Option<&str>) -> Report {
-    analyze_files_inner(files, committed_cert, true)
-}
-
-fn analyze_files_inner(
+/// the committed determinism certificate, if one exists, `gaps` the
+/// workspace's lint-gate gaps, and `check_cert` whether R19 runs.
+fn analyze_files(
     files: &[SourceFile],
     committed_cert: Option<&str>,
+    gaps: &[lint_gate::Gap],
     check_cert: bool,
 ) -> Report {
     let mut findings = pre_certificate_findings(files);
@@ -542,7 +516,7 @@ fn analyze_files_inner(
     // can consume an allow marker has run.
     if check_cert {
         let so_far = findings.clone();
-        certificate::check(committed_cert, files, &so_far, &mut findings);
+        certificate::check(committed_cert, files, &so_far, gaps, &mut findings);
     }
     for file in files {
         rules::stale_allow::check(file, &mut findings);
@@ -636,15 +610,7 @@ mod tests {
         ws.write(
             "crates/core/src/methods.rs",
             concat!(
-                "use std::time::SystemTime;\n",     // R1
-                "use std::collections::HashMap;\n", // R9
-                "use std::sync::Mutex;\n",          // R12
-                "pub fn pick(xs: &[f64]) -> usize {\n",
-                "    xs.iter().enumerate()\n",
-                "        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())\n", // R2
-                "        .map(|(i, _)| i).unwrap_or(0)\n",
-                "}\n",
-                "pub fn warn() { eprintln!(\"slow convergence\"); }\n", // R4
+                "use std::sync::Mutex;\n", // R12
                 "#[derive(Debug)]\n",
                 "pub enum SearchError { Budget }\n",   // R3
                 "pub struct Row { pub power: f64 }\n", // R6
@@ -662,7 +628,7 @@ mod tests {
                 "    acc\n",
                 "}\n",
                 // R16: a grant that suppresses nothing.
-                "// analyze::allow(R1)\n",
+                "// analyze::allow(R8)\n",
                 "pub fn quiet_tick() {}\n",
                 // R17: a workspace Result discarded with `let _ =`.
                 "pub fn persist_trace() -> Result<(), u8> { Ok(()) }\n",
@@ -705,26 +671,15 @@ mod tests {
     }
 
     #[test]
-    fn allow_marker_suppresses_seeded_violation() {
-        let ws = Scratch::new();
-        ws.write(
-            "crates/nn/src/lib.rs",
-            "// analyze::allow(R4)\npub fn log() { eprintln!(\"x\"); }\n",
-        );
-        let report = analyze_workspace(&ws.root).unwrap();
-        assert!(report.is_clean(), "findings: {:?}", report.findings);
-    }
-
-    #[test]
     fn findings_are_sorted_and_json_is_wellformed() {
         let ws = Scratch::new();
         ws.write(
             "crates/linalg/src/b.rs",
-            "pub fn f() { println!(\"b\"); }\n",
+            "pub struct B { pub power: f64 }\n",
         );
         ws.write(
             "crates/linalg/src/a.rs",
-            "pub fn g() { println!(\"a\"); }\npub fn h() { dbg!(1); }\n",
+            "pub struct A { pub power: f64 }\npub struct C { pub energy: f64 }\n",
         );
         let report = analyze_workspace(&ws.root).unwrap();
         let files: Vec<_> = report.findings.iter().map(|f| f.file.clone()).collect();
@@ -733,7 +688,7 @@ mod tests {
         assert_eq!(files, sorted);
 
         let json = report.to_json();
-        assert!(json.contains("\"rule\": \"R4\""));
+        assert!(json.contains("\"rule\": \"R6\""));
         assert!(json.contains("\"files_scanned\": 2"));
         // Balanced braces is a cheap well-formedness smoke check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -746,7 +701,7 @@ mod tests {
         let ws = Scratch::new();
         ws.write(
             "crates/core/src/lib.rs",
-            "pub struct R { pub power: f64 }\npub fn f() { println!(\"x\"); }\n",
+            "pub struct R { pub power: f64 }\n",
         );
         ws.write(
             "crates/nn/src/lib.rs",
@@ -774,32 +729,5 @@ mod tests {
         ws.write("crates/gp/src/lib.rs", "pub fn f() {}\n");
         let nested = ws.root.join("crates/gp/src");
         assert_eq!(find_workspace_root(&nested), Some(ws.root.clone()));
-    }
-
-    #[test]
-    fn real_workspace_matches_baseline() {
-        // The tier-1 gate: the actual repository must match its committed
-        // findings baseline exactly — no new findings, no stale grants.
-        let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        let root = match find_workspace_root(&here) {
-            Some(r) => r,
-            None => panic!("workspace root not found above {}", here.display()),
-        };
-        let report = analyze_workspace(&root).unwrap();
-        let base = baseline::Baseline::load(&root.join(baseline::BASELINE_FILE)).unwrap();
-        let drift = base.diff(&report);
-        assert!(
-            drift.is_empty(),
-            "static-analysis drift against {}:\n{}\ncurrent findings:\n{}",
-            baseline::BASELINE_FILE,
-            drift.describe(),
-            report
-                .findings
-                .iter()
-                .map(|f| format!("  [{}] {}:{} {}", f.rule.id(), f.file, f.line, f.message))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(report.files_scanned >= 10, "scanned too few files");
     }
 }

@@ -16,7 +16,7 @@
 //! Exits 0 when the workspace is clean (or matches its baseline), 1 on
 //! findings/drift, 2 on usage or I/O errors.
 
-// This binary owns its stdout/stderr; the R4/print lints apply to the
+// This binary owns its stdout/stderr; the print lints apply to the
 // library crates only.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
@@ -43,7 +43,7 @@ fn usage() {
     println!(
         "  --format <f>      output format (default: text; --json is shorthand for --format json)"
     );
-    println!("  --fix             apply mechanical rewrites (unit suffixes, HashMap/HashSet -> BTree in trace crates, allow-marker normalization, stale allow removal) before analyzing");
+    println!("  --fix             apply mechanical rewrites (unit suffixes, allow-marker normalization, stale allow removal) before analyzing");
     println!("  --baseline <p>    compare findings against a baseline file (default: <root>/{BASELINE_FILE} when present)");
     println!(
         "  --write-baseline  accept the current findings into the baseline file and exit clean"

@@ -26,9 +26,8 @@ use crate::scan::SourceFile;
 use crate::token::{Token, TokenKind};
 use crate::{Finding, Rule};
 
-use super::collections::TRACE_CRATES;
-use super::finding_at;
 use super::rng::CONSTRUCT_IDENTS;
+use super::{finding_at, in_trace_crate};
 
 /// Method names that advance an RNG stream by drawing from it.
 pub const DRAW_METHODS: &[&str] = &[
@@ -43,15 +42,11 @@ pub const DRAW_METHODS: &[&str] = &[
     "sample",
 ];
 
-fn in_scope(rel_path: &str) -> bool {
-    TRACE_CRATES.iter().any(|c| rel_path.starts_with(c))
-}
-
 /// Applies R18 over the workspace.
 pub fn check(files: &[SourceFile], index: &ItemIndex, findings: &mut Vec<Finding>) {
     for file in files {
         let rel = file.rel_path.to_string_lossy().replace('\\', "/");
-        if !in_scope(&rel) {
+        if !in_trace_crate(&rel) {
             continue;
         }
         for f in index

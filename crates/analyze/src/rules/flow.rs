@@ -1,14 +1,15 @@
 //! R10/R11 — interprocedural flow rules over the workspace call graph.
 //!
-//! These are the first rules that see past a single file, extending two
-//! per-file invariants along confident call edges (see [`crate::graph`]):
+//! These rules see past a single file, extending two per-file invariants
+//! along confident call edges (see [`crate::graph`]):
 //!
-//! * **R10 (wall-clock flow)** extends R1: a function whose body touches
-//!   `SystemTime`/`Instant` is a *clock source*; taint propagates to every
-//!   (transitive) caller, and each call edge into tainted code from a
-//!   file outside the declared [`TIMING_SINKS`] is a finding. R1 catches
-//!   the read itself; R10 catches the helper that launders it across a
-//!   file boundary.
+//! * **R10 (wall-clock flow)** extends clippy's clock ban
+//!   (`disallowed_methods`/`disallowed_types`): a function whose body
+//!   touches `SystemTime`/`Instant` is a *clock source*; taint propagates
+//!   to every (transitive) caller, and each call edge into tainted code
+//!   from a file outside the declared [`TIMING_SINKS`] is a finding.
+//!   Clippy catches the read itself; R10 catches the helper that launders
+//!   it across a file boundary.
 //! * **R11 (RNG flow)** extends R8: a function whose body constructs an
 //!   RNG (`seed_from_u64`/`from_seed`/`from_rng`) is a *minting
 //!   function*; calling one from a file that is not a declared seeded

@@ -1,6 +1,6 @@
-//! The analyzer rules (R1–R19), one module per rule family.
+//! The analyzer rules, one module per rule family.
 //!
-//! R1–R9, R12 and R14 are token- or file-level checks over a single
+//! R3, R5–R8, R12 and R14 are token- or file-level checks over a single
 //! [`SourceFile`] whose comments and strings have already been blanked
 //! and whose remaining text has been tokenized. R10, R11 and R13 are
 //! *workspace-level*: they additionally consume the item index
@@ -14,37 +14,16 @@
 //! Rules only fire in library-crate code outside `#[cfg(test)]` regions,
 //! and every rule honours the `// analyze::allow(<rule>)` escape hatch.
 //!
-//! | module | rules |
-//! |--------|-------|
-//! | [`determinism`] | R1 — no ambient entropy or wall-clock reads |
-//! | [`floats`] | R2 — no raw float equality / panicking `partial_cmp` |
-//! | [`errors`] | R3 — public error enums are `#[non_exhaustive]` |
-//! | [`io`] | R4 — no print-family macros in library crates |
-//! | (here) | R5 — finiteness guards at declared numerical boundaries |
-//! | [`units`] | R6 — unit-of-measure discipline on `f64` quantities |
-//! | [`ordering`] | R7 — hardware constraints evaluated before objectives |
-//! | [`rng`] | R8 — RNGs constructed only at declared seeded roots |
-//! | [`collections`] | R9 — no unordered collections in trace-affecting crates |
-//! | [`flow`] | R10 — wall-clock flow outside timing sinks (interprocedural) |
-//! | [`flow`] | R11 — RNG minting reachable from non-root files (interprocedural) |
-//! | [`concurrency`] | R12 — concurrency primitives confined to the executor boundary |
-//! | [`header`] | R13 — checkpoint-header completeness (cross-file) |
-//! | [`reductions`] | R14 — order-sensitive float reductions outside blessed helpers |
-//! | [`panic_path`] | R15 — panic sites reachable from the executor commit path |
-//! | [`stale_allow`] | R16 — unused `analyze::allow` escape hatches |
-//! | [`results`] | R17 — discarded `Result`s and lossy unit casts |
-//! | [`divergence`] | R18 — branch-divergent RNG draws |
-//! | [`crate::certificate`] | R19 — determinism certificate drift |
+//! The ids R1, R2, R4 and R9 are retired into clippy's deny set (see
+//! [`crate::lint_gate`]).
+//!
+//! Each module's doc opens with the rule it implements; R5 lives here.
 
-pub mod collections;
 pub mod concurrency;
-pub mod determinism;
 pub mod divergence;
 pub mod errors;
-pub mod floats;
 pub mod flow;
 pub mod header;
-pub mod io;
 pub mod ordering;
 pub mod panic_path;
 pub mod reductions;
@@ -75,19 +54,30 @@ pub const GUARD_SITES: &[(&str, &str)] = &[
 /// The marker R5 looks for at each guard site.
 pub const FINITE_GUARD_MARKER: &str = "debug_assert_finite!";
 
-/// Applies every per-file rule (R1–R4, R6–R9, R12, R14) to one file. R5
+/// The trace-affecting crates (workspace-relative directories): everything
+/// that runs between seeding and trace commit, plus the serving layer,
+/// which replays committed traces. R14, R17, R18 and the determinism
+/// certificate cover only these. `linalg`/`nn`/`gp` compute pure functions
+/// of their inputs (their loops define the canonical order), and `data`
+/// generates datasets before any trace exists.
+pub const TRACE_CRATES: &[&str] = &["crates/core", "crates/gpu-sim", "crates/server"];
+
+/// Whether a workspace-relative path lies in a trace-affecting crate.
+pub fn in_trace_crate(rel_path: &str) -> bool {
+    TRACE_CRATES
+        .iter()
+        .any(|c| rel_path.strip_prefix(c).is_some_and(|r| r.starts_with('/')))
+}
+
+/// Applies every per-file rule (R3, R6–R8, R12, R14) to one file. R5
 /// is applied separately per [`GUARD_SITES`] entry via
 /// [`check_finite_guard`]; the workspace-level rules (R10, R11, R13) run
 /// once over all files via [`apply_workspace_rules`].
 pub fn apply_rules(file: &SourceFile, findings: &mut Vec<Finding>) {
-    determinism::check(file, findings);
-    floats::check(file, findings);
     errors::check(file, findings);
-    io::check(file, findings);
     units::check(file, findings);
     ordering::check(file, findings);
     rng::check(file, findings);
-    collections::check(file, findings);
     concurrency::check(file, findings);
     reductions::check(file, findings);
 }

@@ -20,19 +20,12 @@ use crate::scan::SourceFile;
 use crate::token::{matching_close, TokenKind};
 use crate::{Finding, Rule};
 
-/// Path prefixes where the rule applies — the same trace-affecting
-/// crates as R9. `linalg` and `nn` are the blessed home of fixed-order
-/// kernels (their loops *define* the canonical order), and `data`'s
-/// generator loops run sequentially before any trace exists. The serving
-/// layer replays committed traces, so it is held to the same discipline.
-pub const TRACE_CRATES: &[&str] = &["crates/core/", "crates/gpu-sim/", "crates/server/"];
-
 /// R14: float compound assignment inside `for` bodies of trace-affecting
-/// crates.
+/// crates ([`super::TRACE_CRATES`]).
 pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
     let rule = Rule::R14OrderSensitiveReduction;
     let rel = file.rel_path.to_string_lossy().replace('\\', "/");
-    if !TRACE_CRATES.iter().any(|p| rel.starts_with(p)) {
+    if !super::in_trace_crate(&rel) {
         return;
     }
     let toks = &file.tokens;

@@ -24,21 +24,16 @@ use crate::scan::SourceFile;
 use crate::token::TokenKind;
 use crate::{Finding, Rule};
 
-use super::collections::TRACE_CRATES;
-use super::finding_at;
+use super::{finding_at, in_trace_crate};
 
 /// The `units::` newtypes tracked through `.0` projections.
 pub const UNIT_TYPES: &[&str] = &["Watts", "Joules", "Seconds", "Mebibytes"];
-
-fn in_scope(rel_path: &str) -> bool {
-    TRACE_CRATES.iter().any(|c| rel_path.starts_with(c))
-}
 
 /// Applies R17 over the workspace.
 pub fn check(files: &[SourceFile], index: &ItemIndex, findings: &mut Vec<Finding>) {
     for file in files {
         let rel = file.rel_path.to_string_lossy().replace('\\', "/");
-        if !in_scope(&rel) {
+        if !in_trace_crate(&rel) {
             continue;
         }
         check_discarded_results(file, &rel, index, findings);

@@ -65,26 +65,26 @@ mod tests {
     use crate::analyze_sources;
     use crate::Rule;
 
+    const FORK: &str = "fn fork() { let r = StdRng::seed_from_u64(1); }\n";
+
     #[test]
     fn consumed_marker_is_not_stale() {
-        let report = analyze_sources(&[(
-            "crates/nn/src/lib.rs",
-            "// analyze::allow(R4)\npub fn log() { eprintln!(\"x\"); }\n",
-        )]);
+        let src = format!("// analyze::allow(R8)\n{FORK}");
+        let report = analyze_sources(&[("crates/nn/src/lib.rs", &src)]);
         assert_eq!(report.findings_for(Rule::R16StaleAllow).count(), 0);
-        assert_eq!(report.findings_for(Rule::R4PrintInLibrary).count(), 0);
+        assert_eq!(report.findings_for(Rule::R8RngThreading).count(), 0);
     }
 
     #[test]
     fn dormant_marker_is_stale() {
         let report = analyze_sources(&[(
             "crates/nn/src/lib.rs",
-            "// analyze::allow(R4)\npub fn quiet() {}\n",
+            "// analyze::allow(R8)\npub fn quiet() {}\n",
         )]);
         let f: Vec<_> = report.findings_for(Rule::R16StaleAllow).collect();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("allow(R4)"));
+        assert!(f[0].message.contains("allow(R8)"));
     }
 
     #[test]
@@ -102,7 +102,7 @@ mod tests {
     fn marker_in_test_code_is_exempt() {
         let report = analyze_sources(&[(
             "crates/nn/src/lib.rs",
-            "#[cfg(test)]\nmod tests {\n    // analyze::allow(R4)\n    fn quiet() {}\n}\n",
+            "#[cfg(test)]\nmod tests {\n    // analyze::allow(R8)\n    fn quiet() {}\n}\n",
         )]);
         assert_eq!(report.findings_for(Rule::R16StaleAllow).count(), 0);
     }
@@ -111,7 +111,7 @@ mod tests {
     fn meta_grant_keeps_a_dormant_marker_alive() {
         let report = analyze_sources(&[(
             "crates/nn/src/lib.rs",
-            "// kept for the quarterly fuzz run: analyze::allow(R4, R16)\npub fn quiet() {}\n",
+            "// kept for the quarterly fuzz run: analyze::allow(R8, R16)\npub fn quiet() {}\n",
         )]);
         assert_eq!(
             report.findings_for(Rule::R16StaleAllow).count(),
@@ -123,13 +123,11 @@ mod tests {
 
     #[test]
     fn one_live_id_does_not_shield_its_stale_neighbour() {
-        let report = analyze_sources(&[(
-            "crates/nn/src/lib.rs",
-            "// analyze::allow(R4, R9)\npub fn log() { eprintln!(\"x\"); }\n",
-        )]);
-        // R4 is consumed; R9 never fires in crates/nn (not a trace crate).
+        let src = format!("// analyze::allow(R8, R14)\n{FORK}");
+        let report = analyze_sources(&[("crates/nn/src/lib.rs", &src)]);
+        // R8 is consumed; R14 never fires in crates/nn (not a trace crate).
         let f: Vec<_> = report.findings_for(Rule::R16StaleAllow).collect();
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("allow(R9)"));
+        assert!(f[0].message.contains("allow(R14)"));
     }
 }

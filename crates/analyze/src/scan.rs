@@ -8,7 +8,7 @@
 //! `// analyze::allow(<rule>)` escape-hatch markers are collected.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::token::{matching_close, tokenize, Token};
@@ -27,7 +27,7 @@ pub struct Line {
     /// Whether the line sits inside a `#[cfg(test)]` region.
     pub in_test: bool,
     /// Rule ids (`"R1"`…) allowed on this line via the escape hatch.
-    pub allowed: HashSet<String>,
+    pub allowed: BTreeSet<String>,
 }
 
 /// One `// analyze::allow(…)` escape-hatch marker.
@@ -81,7 +81,7 @@ impl SourceFile {
         let in_test_flags = test_region_lines(&tokens, raw_lines.len());
 
         // Allow markers: a marker covers its own line and the next.
-        let mut allows: Vec<HashSet<String>> = vec![HashSet::new(); raw_lines.len()];
+        let mut allows: Vec<BTreeSet<String>> = vec![BTreeSet::new(); raw_lines.len()];
         let mut markers = Vec::new();
         for (i, comment) in comment_lines.iter().enumerate() {
             if let Some(ids) = parse_allow_marker(comment) {

@@ -4,8 +4,8 @@
 //! already blanked to spaces by [`crate::scan`]), so string contents can
 //! never produce tokens. The token model is deliberately small — idents,
 //! lifetimes, numeric literals and (joined) punctuation — which is enough
-//! for every token-aware rule (R6–R8) and for the token-based rewrites of
-//! R1–R5, without pulling in syn/rustc internals (this workspace builds
+//! for every token-aware rule (R3–R8, R12, R14) and for `--fix`'s
+//! token-based rewrites, without pulling in syn/rustc internals (this workspace builds
 //! hermetically, so the analyzer must stay dependency-free).
 
 /// The kind of a lexed token.

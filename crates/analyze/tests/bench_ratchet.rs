@@ -14,6 +14,9 @@
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+// The ratchet times the analyzer scan on the wall clock;
+// nothing measured here reaches a trace.
+#![allow(clippy::disallowed_methods)]
 
 use std::time::Instant;
 

@@ -1,4 +1,4 @@
-//! Adversarial fixture corpus for the workspace rules R9–R19.
+//! Adversarial fixture corpus for the workspace rules R10–R19.
 //!
 //! Each fixture under `tests/fixtures/` is a miniature multi-file
 //! workspace in one file: `//@file: <workspace-relative path>` marker
@@ -10,7 +10,7 @@
 //!
 //! Assertions are scoped to the rule under test — a TP fixture may
 //! legitimately trip neighbouring rules (a clock read that seeds R10
-//! taint is itself an R1 finding), and pinning those here would turn
+//! taint is also a clippy finding), and pinning those here would turn
 //! every rule tweak into fixture churn.
 
 // Test-support code: panicking on a broken invariant is the point.
@@ -45,18 +45,6 @@ fn count(fixture: &str, rule: Rule) -> usize {
 
 /// (fixture name, contents, rule under test, expects findings).
 const CASES: &[(&str, &str, Rule, bool)] = &[
-    (
-        "r9_tp",
-        include_str!("fixtures/r9_tp.rs"),
-        Rule::R9UnorderedCollections,
-        true,
-    ),
-    (
-        "r9_fp",
-        include_str!("fixtures/r9_fp.rs"),
-        Rule::R9UnorderedCollections,
-        false,
-    ),
     (
         "r10_tp",
         include_str!("fixtures/r10_tp.rs"),
@@ -182,7 +170,6 @@ const CASES: &[(&str, &str, Rule, bool)] = &[
 #[test]
 fn every_workspace_rule_has_a_tp_and_fp_fixture() {
     for rule in [
-        Rule::R9UnorderedCollections,
         Rule::R10WallClockFlow,
         Rule::R11RngFlow,
         Rule::R12ConcurrencyBoundary,

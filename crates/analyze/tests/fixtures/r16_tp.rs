@@ -1,5 +1,5 @@
 //@file: crates/core/src/config.rs
-// analyze::allow(R9)
+// analyze::allow(R14)
 pub fn max_batches() -> usize {
     64
 }

@@ -11,9 +11,9 @@ pub fn fit() {}
       "crate": "crates/core",
       "files": 1,
       "facts": [
-        {"fact": "no-wall-clock-flow", "rules": ["R1", "R10"], "status": "proved"},
+        {"fact": "no-wall-clock-flow", "rules": ["clippy::disallowed_methods", "R10"], "status": "proved"},
         {"fact": "all-rng-rooted", "rules": ["R8", "R11"], "status": "proved"},
-        {"fact": "no-unordered-collections", "rules": ["R9"], "status": "proved"},
+        {"fact": "no-unordered-collections", "rules": ["clippy::disallowed_types"], "status": "proved"},
         {"fact": "panic-free-commit-path", "rules": ["R15"], "status": "proved"},
         {"fact": "header-complete", "rules": ["R13"], "status": "proved"}
       ]

@@ -188,12 +188,6 @@ impl ExecutorOptions {
         self
     }
 
-    /// Replaces the whole self-healing configuration (builder style).
-    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = drift;
-        self
-    }
-
     /// Enables online recalibration (builder style).
     pub fn with_recalibrate(mut self, recalibrate: bool) -> Self {
         self.drift.recalibrate = recalibrate;

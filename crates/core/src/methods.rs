@@ -1137,7 +1137,7 @@ mod tests {
         let space = SearchSpace::mnist();
         let mut g = GridSearch::new(2);
         let mut r = rng();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         // 2^6 = 64 lattice points, all distinct.
         for _ in 0..64 {
             let c = g.propose(&space, &History::new(), &mut r).unwrap();

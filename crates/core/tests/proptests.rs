@@ -4,16 +4,20 @@
 // bit-for-bit; panicking helpers are correct in a test harness.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
+use std::sync::OnceLock;
+
+use hyperpower::checkpoint::RunCheckpoint;
 use hyperpower::driver::RunSetup;
-use hyperpower::golden::encode_trace;
+use hyperpower::golden::{self, encode_trace};
+use hyperpower::integrity::crc32_hex;
 use hyperpower::methods::History;
 use hyperpower::model::{FeatureMap, LinearHwModel};
 use hyperpower::recovery::{plan_trial, RetryPolicy, TrialOutcome};
 use hyperpower::space::Decoded;
 use hyperpower::{
-    run_optimization_with, Budget, Budgets, Config, ConstraintOracle, EarlyTermination,
-    EvaluationResult, ExecutorOptions, HwModels, Mebibytes, Method, Mode, Objective, SearchSpace,
-    Trace, Watts,
+    run_optimization_with, Budget, Budgets, CheckpointConfig, Config, ConstraintOracle,
+    EarlyTermination, EvaluationResult, ExecutorOptions, HwModels, Mebibytes, Method, Mode,
+    Objective, SearchSpace, Trace, Watts,
 };
 use hyperpower_gpu_sim::{
     DeviceProfile, FaultPlan, FaultProfile, Gpu, TrainingCostModel, TrainingFault,
@@ -62,30 +66,7 @@ fn run_fake(
     workers: usize,
     gpus: usize,
 ) -> Trace {
-    let space = SearchSpace::mnist();
-    let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), seed);
-    run_optimization_with(
-        RunSetup {
-            space: &space,
-            objective,
-            gpu: &mut gpu,
-            budgets: Budgets::default(),
-            oracle: None,
-            early_termination: Some(EarlyTermination::default()),
-            cost: TrainingCostModel::default(),
-            method: Method::Rand,
-            mode: Mode::HyperPower,
-            budget,
-            seed,
-            searcher_override: None,
-        },
-        &ExecutorOptions {
-            workers,
-            simulated_gpus: gpus,
-            ..ExecutorOptions::default()
-        },
-    )
-    .expect("fake run")
+    run_fake_with_profile(objective, budget, seed, workers, gpus, FaultProfile::none())
 }
 
 fn run_fake_with_profile(
@@ -95,6 +76,25 @@ fn run_fake_with_profile(
     workers: usize,
     gpus: usize,
     profile: FaultProfile,
+) -> Trace {
+    run_fake_with(
+        objective,
+        budget,
+        seed,
+        &ExecutorOptions {
+            workers,
+            simulated_gpus: gpus,
+            fault_profile: profile,
+            ..ExecutorOptions::default()
+        },
+    )
+}
+
+fn run_fake_with(
+    objective: &FakeObjective,
+    budget: Budget,
+    seed: u64,
+    options: &ExecutorOptions,
 ) -> Trace {
     let space = SearchSpace::mnist();
     let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), seed);
@@ -113,12 +113,7 @@ fn run_fake_with_profile(
             seed,
             searcher_override: None,
         },
-        &ExecutorOptions {
-            workers,
-            simulated_gpus: gpus,
-            fault_profile: profile,
-            ..ExecutorOptions::default()
-        },
+        options,
     )
     .expect("fake run")
 }
@@ -474,5 +469,132 @@ proptest! {
         let mid: Vec<f64> = z.iter().zip(&z2).map(|(a, b)| a + t * (b - a)).collect();
         let interp = model.predict(&z) + t * (model.predict(&z2) - model.predict(&z));
         prop_assert!((model.predict(&mid) - interp).abs() < 1e-9);
+    }
+}
+
+// Total readers: `golden::parse` and `RunCheckpoint::decode` take bytes
+// the process did not just produce, so for any input they must return
+// `Ok` or a typed error, never panic.
+
+/// The on-disk text of a real checkpoint: a short Rand run (one
+/// evaluation terminated early) checkpointed after every commit.
+fn real_checkpoint() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let path =
+            std::env::temp_dir().join(format!("hp-total-readers-{}.ckpt", std::process::id()));
+        let objective = FakeObjective {
+            durations: vec![120.0, 300.0, 45.0],
+        };
+        run_fake_with(
+            &objective,
+            Budget::Evaluations(3),
+            5,
+            &ExecutorOptions::default().with_checkpoint(CheckpointConfig::every_commit(&path)),
+        );
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        std::fs::remove_file(&path).expect("checkpoint removable");
+        text
+    })
+}
+
+/// `body` behind a freshly computed integrity frame, as the writer frames it.
+fn reframe(body: &str) -> String {
+    format!("C {}\n{body}", crc32_hex(body.as_bytes()))
+}
+
+/// Feeds `text` to both readers; returns whether each accepted it. Any
+/// panic fails the calling test, and a checkpoint error must be typed.
+fn read_both(text: &str) -> (bool, bool) {
+    let parsed = golden::parse(text).is_ok();
+    let decoded = match RunCheckpoint::decode(text) {
+        Ok(_) => true,
+        Err(hyperpower::Error::Checkpoint(_)) => false,
+        Err(other) => panic!("untyped checkpoint error {other:?} for {text:?}"),
+    };
+    (parsed, decoded)
+}
+
+/// Text built from JSON fragments (escapes included, so parsing gets
+/// past the first byte and into strings), with arbitrary code points mixed in.
+fn json_ish_text() -> impl Strategy<Value = String> {
+    const FRAGMENTS: &[&str] = &[
+        "{", "}", "[", "]", "\"", "\":", ",", " ", "\n", "\\", "\\u", "\\u00e9", "\\n", "0", "-",
+        "1.5e-3", "true", "null", "NaN", "-inf", "C ", "\u{e9}",
+    ];
+    proptest::collection::vec((0usize..4, 0u32..0x11_0000), 0..120).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(kind, cp)| match kind {
+                0 => char::from_u32(cp).unwrap_or('\u{fffd}').to_string(),
+                _ => FRAGMENTS[cp as usize % FRAGMENTS.len()].to_string(),
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn real_checkpoint_decodes() {
+    let text = real_checkpoint();
+    let ckpt = RunCheckpoint::decode(text).expect("a written checkpoint decodes");
+    assert_eq!(ckpt.samples.len(), 3);
+    assert!(text.starts_with("C "), "v2 checkpoints are framed");
+}
+
+#[test]
+fn every_truncation_of_an_escaped_document_is_a_parse_error() {
+    let text = "{\"k\\u00e9y\u{e9}\": [\"\\n\\t\\\\\\\"\\/\\r\", 1e-3, -inf, NaN, null, true, false, {}, []]}";
+    assert!(golden::parse(text).is_ok());
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        assert!(golden::parse(&text[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
+#[test]
+fn every_truncation_of_a_checkpoint_is_a_typed_error() {
+    let text = real_checkpoint();
+    let (_, body) = text.split_once('\n').expect("frame line");
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        // The frame's checksum no longer matches a cut body.
+        let (_, decoded) = read_both(&text[..cut]);
+        assert!(!decoded, "truncation at byte {cut} decoded");
+    }
+    for cut in (0..body.len()).filter(|&i| body.is_char_boundary(i)) {
+        // Re-framed, the cut body reaches the parser and the field
+        // checks; only the cut that drops the trailing newline parses.
+        let whole = body[..cut].trim_end() == body.trim_end();
+        let (parsed, decoded) = read_both(&reframe(&body[..cut]));
+        assert!(!parsed, "a framed text is never bare JSON");
+        assert_eq!(decoded, whole, "re-framed truncation at byte {cut}");
+        assert_eq!(golden::parse(&body[..cut]).is_ok(), whole, "cut at {cut}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_text_never_panics_the_readers(text in json_ish_text(), framed in 0u8..2) {
+        let (_, decoded) = read_both(&text);
+        // Arbitrary text is never a whole checkpoint.
+        prop_assert!(!decoded);
+        if framed == 1 {
+            read_both(&reframe(&text));
+        }
+    }
+
+    #[test]
+    fn reframed_single_byte_body_edits_never_panic_the_readers(
+        at in 0.0f64..1.0,
+        byte in 0u8..=255,
+    ) {
+        let text = real_checkpoint();
+        let (_, body) = text.split_once('\n').expect("frame line");
+        let pos = ((at * body.len() as f64) as usize).min(body.len() - 1);
+        for replacement in [byte, b'"', b'\\', b'{', b'}', b']', b',', b':', b'-', b'9', 0x80, 0xff] {
+            let mut bytes = body.as_bytes().to_vec();
+            bytes[pos] = replacement;
+            let edited = String::from_utf8_lossy(&bytes);
+            read_both(&edited);
+            read_both(&reframe(&edited));
+        }
     }
 }

@@ -138,16 +138,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copies column `j` into a new vector.
     ///
     /// Allocates per call; hot loops should use [`Matrix::col_iter`] or
@@ -189,11 +179,6 @@ impl Matrix {
     /// Borrows the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Mutably borrows the underlying row-major buffer (crate-internal:

@@ -12,6 +12,9 @@
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
+// The ratchet times the kernels against each other on the wall clock;
+// nothing measured here reaches a trace.
+#![allow(clippy::disallowed_methods)]
 
 mod common;
 

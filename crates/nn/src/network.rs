@@ -100,11 +100,6 @@ impl Network {
         })
     }
 
-    /// Number of layer objects (including activations and reshapes).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The layer stack (used by checkpointing).
     pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers

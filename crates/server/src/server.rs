@@ -261,11 +261,6 @@ impl StudyServer {
         &self.config
     }
 
-    /// Names of every hosted study, in order.
-    pub fn study_names(&self) -> Vec<String> {
-        self.studies.keys().cloned().collect()
-    }
-
     /// Outstanding leases across all hosted studies.
     pub fn outstanding_total(&self) -> usize {
         self.studies

@@ -1,24 +1,31 @@
 //! Tier-1 gate: the custom static-analysis pass must hold over the whole
-//! workspace on every commit.
+//! workspace on every commit, and the clippy deny set that replaced four
+//! of its rules must stay in place.
 //!
-//! `hyperpower-analyze` checks invariants the compiler and clippy cannot
-//! express — seeded randomness only (R1), no raw float equality against
-//! non-zero literals (R2), `#[non_exhaustive]` public error enums (R3),
-//! no printing from library crates (R4), `debug_assert_finite!` guards at
-//! the declared numerical boundaries (R5), unit-of-measure discipline on
-//! bare `f64` quantities (R6), constraint-before-objective ordering at
-//! acquisition call sites (R7), seeded-root RNG threading (R8), ordered
-//! collections in trace-affecting crates (R9), interprocedural wall-clock
-//! (R10) and RNG-minting (R11) flow over the workspace call graph,
-//! concurrency primitives confined to the executor boundary (R12),
-//! checkpoint-header completeness against the executor's knobs (R13),
-//! order-sensitive float reductions routed through blessed helpers (R14),
-//! panic-free executor commit paths via CFG + reaching definitions (R15),
-//! no stale allow markers (R16), no discarded workspace `Result`s or
-//! mixed-unit arithmetic (R17), branch-balanced RNG draws (R18), and a
-//! committed per-crate determinism certificate that matches the analysis
-//! (R19). Running it as an ordinary test keeps `cargo test` the single
-//! entry point for all correctness gates.
+//! `hyperpower-analyze` checks the 15 invariants clippy cannot express:
+//! `#[non_exhaustive]` public error enums (R3), `debug_assert_finite!`
+//! guards at the declared numerical boundaries (R5), unit-of-measure
+//! discipline on bare `f64` quantities (R6), constraint-before-objective
+//! ordering at acquisition call sites (R7), seeded-root RNG threading
+//! (R8), interprocedural wall-clock (R10) and RNG-minting (R11) flow over
+//! the workspace call graph, concurrency primitives confined to the
+//! executor boundary (R12), checkpoint-header completeness against the
+//! executor's knobs (R13), order-sensitive float reductions routed
+//! through blessed helpers (R14), panic-free executor commit paths via
+//! CFG + reaching definitions (R15), no stale allow markers (R16), no
+//! discarded workspace `Result`s or mixed-unit arithmetic (R17),
+//! branch-balanced RNG draws (R18), and a committed per-crate determinism
+//! certificate that matches the analysis (R19). Running it as an ordinary
+//! test keeps `cargo test` the single entry point for all correctness
+//! gates.
+//!
+//! The retired ids are clippy lints now: wall-clock reads (R1) are
+//! `disallowed_methods`/`disallowed_types`, float equality (R2) is
+//! `float_cmp`/`unwrap_used`/`expect_used`, prints (R4) are
+//! `print_stdout`/`print_stderr`/`dbg_macro`, and unordered collections
+//! (R9) are `disallowed_types`. Clippy itself runs in CI, not here, so
+//! `clippy_lint_gate_is_complete` checks that the root `Cargo.toml` still
+//! denies each of those lints and that `clippy.toml` still bans each path.
 //!
 //! Accepted legacy findings live in `analyze-baseline.json` at the
 //! workspace root; the gate fails on drift in *either* direction (new
@@ -34,6 +41,7 @@
 
 use hyperpower_analyze::baseline::{Baseline, BASELINE_FILE};
 use hyperpower_analyze::certificate::CERTIFICATE_FILE;
+use hyperpower_analyze::lint_gate::workspace_gaps;
 use hyperpower_analyze::{analyze_workspace, find_workspace_root, generate_certificate, Rule};
 
 fn workspace_root() -> std::path::PathBuf {
@@ -77,7 +85,7 @@ fn analyzer_scans_the_real_library_sources() {
 
 #[test]
 fn analyzer_reports_every_rule_kind() {
-    // The report must account for all nineteen rules even when clean, so
+    // The report must account for all fifteen rules even when clean, so
     // a rule silently dropped from the rule set is caught here.
     let root = workspace_root();
     let report = analyze_workspace(&root).expect("workspace sources readable");
@@ -101,8 +109,21 @@ fn analyzer_reports_every_rule_kind() {
     }
     assert_eq!(
         Rule::ALL.len(),
-        19,
-        "expected exactly nineteen analyzer rules"
+        15,
+        "expected exactly fifteen analyzer rules"
+    );
+}
+
+#[test]
+fn clippy_lint_gate_is_complete() {
+    let gaps = workspace_gaps(&workspace_root());
+    assert!(
+        gaps.is_empty(),
+        "the clippy gate that replaced analyzer rules R1, R2, R4 and R9 has gaps:\n{}",
+        gaps.iter()
+            .map(|g| format!("  {} (clippy::{})", g.missing, g.lint))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 
